@@ -110,13 +110,15 @@
 
 /// Hot-path purity contract: this function — and everything reachable
 /// from it through direct calls — must not allocate, lock, throw, or
-/// make virtual calls. Adopted on the Θ-kernel per-pair bodies
-/// (core/join_detail.h), the Θ predicate kernels (core/theta_ops.cc),
-/// FrozenTree node scans, and slotted-page readers, so ROADMAP's SIMD
-/// and query-compilation passes can refactor against a machine-checked
-/// invariant. Known, reviewed exceptions (e.g. worklist growth pending
-/// the arena/SoA refactor) live in scripts/analysis/
-/// sj_analyze_baseline.json with per-entry justifications — not here.
+/// make virtual calls. Adopted on the join/select kernels (the flat
+/// FrozenTree kernel in exec/flat_kernel.cc and the generic per-pair
+/// bodies in core/join_detail.h), the Θ predicate kernels
+/// (core/theta_ops.cc), FrozenTree accessors, and slotted-page readers,
+/// so later SIMD and query-compilation passes can refactor against a
+/// machine-checked invariant. Known, reviewed exceptions (the operator's
+/// virtual θ/Θ dispatch, amortized growth of caller-owned buffers) live
+/// in scripts/analysis/baseline.json with per-entry justifications —
+/// not here.
 #define SJ_HOT SJ_ANALYZE_ANNOTATE("sj::hot")
 
 /// Async-signal-safety contract: this function is (transitively) called

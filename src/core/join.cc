@@ -4,6 +4,8 @@
 #include "common/check.h"
 #include "core/join_detail.h"
 #include "exec/cancel.h"
+#include "exec/frozen_tree.h"
+#include "exec/parallel_join.h"
 #include "obs/flight_recorder.h"
 #include "obs/span.h"
 #include "obs/timer.h"
@@ -15,12 +17,22 @@ JoinResult TreeJoin(const GeneralizationTree& r_tree,
                     Traversal traversal, QueryTrace* trace,
                     const exec::CancelToken* cancel) {
   (void)traversal;  // JOIN4's internal passes are BFS; kept for symmetry.
+  // Two FrozenTrees take the flat kernel (exec/parallel_join.h): the same
+  // matches, counters, trace and stop points without per-pair virtual
+  // calls or allocation. Disk-backed trees and in-memory hierarchies stay
+  // on the generic kernel below, whose page-access order the cost-model
+  // benches measure.
+  const auto* r_frozen = dynamic_cast<const exec::FrozenTree*>(&r_tree);
+  const auto* s_frozen = dynamic_cast<const exec::FrozenTree*>(&s_tree);
+  if (r_frozen != nullptr && s_frozen != nullptr) {
+    return exec::ParallelTreeJoin(*r_frozen, *s_frozen, op, /*pool=*/nullptr,
+                                  cancel, trace);
+  }
   JoinResult result;
   int max_level = std::min(r_tree.height(), s_tree.height());
 
   // QualPairs[j], processed level by level (JOIN1/JOIN2). The per-pair
-  // body (JOIN2–JOIN4) lives in join_detail::ProcessQualPair, shared with
-  // exec::ParallelTreeJoin.
+  // body (JOIN2–JOIN4) lives in join_detail::ProcessQualPair.
   std::vector<std::pair<NodeId, NodeId>> current_level;
   current_level.emplace_back(r_tree.root(), s_tree.root());
 

@@ -20,16 +20,16 @@ namespace join_detail {
 /// according to `selector_is_r`), and returns the direct children of
 /// `anchor` that Θ-qualify (they seed the next QualPairs level).
 ///
-/// Shared between the sequential TreeJoin and exec::ParallelTreeJoin so
-/// the two implementations cannot drift: a parallel worker runs exactly
-/// this pass against its chunk-local JoinResult. Thread-safe as long as
-/// the trees and the operator are safe for concurrent reads and `result`
-/// is not shared between callers.
+/// The generic kernel: TreeJoin runs it for disk-backed trees and
+/// in-memory hierarchies, where every node access goes through the
+/// GeneralizationTree interface and charges its page I/O in the order the
+/// cost-model benches measure. Two FrozenTrees take the flat kernel
+/// instead (exec/flat_kernel.cc), which reproduces this pass's visit
+/// order, counters and matches exactly.
 ///
-/// SJ_HOT: the per-pair Θ-kernel body ROADMAP items 3/4 (SIMD, query
-/// compilation) will refactor against. Current exceptions (worklist
-/// growth, virtual generalization-tree/Θ dispatch) are enumerated in
-/// scripts/analysis/sj_analyze_baseline.json; do not add new ones.
+/// SJ_HOT: its exceptions (worklist growth, virtual generalization-tree
+/// and Θ dispatch — the paper's extension points) are enumerated in
+/// scripts/analysis/baseline.json; do not add new ones.
 SJ_HOT inline std::vector<NodeId> SelectPass(
     const GeneralizationTree& selector_tree, NodeId selector_node,
     const Value& selector_geom, const GeneralizationTree& tree, NodeId anchor,

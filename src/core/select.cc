@@ -5,6 +5,8 @@
 #include "common/analysis_annotations.h"
 #include "common/check.h"
 #include "exec/cancel.h"
+#include "exec/frozen_tree.h"
+#include "exec/parallel_select.h"
 #include "obs/flight_recorder.h"
 #include "obs/span.h"
 #include "obs/timer.h"
@@ -156,6 +158,14 @@ SelectResult SpatialSelect(const Value& selector,
                            const ThetaOperator& op, Traversal traversal,
                            QueryTrace* trace,
                            const exec::CancelToken* cancel) {
+  // A breadth-first selection over a FrozenTree takes the flat kernel
+  // (exec/parallel_select.h): same visits, counters, trace and stop points.
+  if (traversal == Traversal::kBreadthFirst) {
+    if (const auto* frozen = dynamic_cast<const exec::FrozenTree*>(&tree)) {
+      return exec::ParallelSelect(selector, *frozen, op, /*pool=*/nullptr,
+                                  cancel, trace);
+    }
+  }
   return SpatialSelectFrom(selector, tree, {tree.root()}, op, traversal,
                            trace, cancel);
 }

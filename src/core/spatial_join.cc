@@ -1,6 +1,7 @@
 #include "core/spatial_join.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 #include "common/analysis_annotations.h"
@@ -57,6 +58,19 @@ const char* SelectStrategyName(SelectStrategy strategy) {
 
 namespace {
 
+// `tree` itself when it already is a FrozenTree (every DatasetRegistry
+// dataset is), else a snapshot of it held in *snapshot: the storage layer
+// is single-threaded, so other trees are materialized on this thread
+// before a pool touches them.
+const exec::FrozenTree& AsFrozen(const GeneralizationTree& tree,
+                                 std::optional<exec::FrozenTree>* snapshot) {
+  if (const auto* frozen = dynamic_cast<const exec::FrozenTree*>(&tree)) {
+    return *frozen;
+  }
+  snapshot->emplace(exec::FrozenTree::Materialize(tree));
+  return **snapshot;
+}
+
 JoinResult DispatchJoin(JoinStrategy strategy, const SpatialJoinContext& ctx,
                         const ThetaOperator& op) {
   switch (strategy) {
@@ -91,12 +105,12 @@ JoinResult DispatchJoin(JoinStrategy strategy, const SpatialJoinContext& ctx,
                    "inputs");
       SJ_CHECK_MSG(ctx.exec_pool != nullptr,
                    "parallel_tree_join needs a SpatialJoinContext.exec_pool");
-      // Snapshot both trees on this thread (the storage layer is
-      // single-threaded), then fan the level-synchronized join out.
-      exec::FrozenTree r_frozen = exec::FrozenTree::Materialize(*ctx.r_tree);
-      exec::FrozenTree s_frozen = exec::FrozenTree::Materialize(*ctx.s_tree);
+      std::optional<exec::FrozenTree> r_snapshot;
+      std::optional<exec::FrozenTree> s_snapshot;
+      const exec::FrozenTree& r_frozen = AsFrozen(*ctx.r_tree, &r_snapshot);
+      const exec::FrozenTree& s_frozen = AsFrozen(*ctx.s_tree, &s_snapshot);
       return exec::ParallelTreeJoin(r_frozen, s_frozen, op, ctx.exec_pool,
-                                    {}, ctx.cancel);
+                                    ctx.cancel);
     }
     case JoinStrategy::kPartitionedJoin: {
       SJ_CHECK(ctx.r != nullptr && ctx.s != nullptr);
@@ -227,9 +241,10 @@ JoinResult DispatchSelect(SelectStrategy strategy,
       SJ_CHECK_MSG(ctx.exec_pool != nullptr,
                    "parallel tree select needs a SpatialJoinContext."
                    "exec_pool");
-      exec::FrozenTree s_frozen = exec::FrozenTree::Materialize(*ctx.s_tree);
-      SelectResult sel = exec::ParallelSelect(selector, s_frozen, op,
-                                              ctx.exec_pool, {}, ctx.cancel);
+      std::optional<exec::FrozenTree> s_snapshot;
+      SelectResult sel =
+          exec::ParallelSelect(selector, AsFrozen(*ctx.s_tree, &s_snapshot),
+                               op, ctx.exec_pool, ctx.cancel);
       JoinResult result;
       result.theta_tests = sel.theta_tests;
       result.theta_upper_tests = sel.theta_upper_tests;

@@ -60,8 +60,9 @@ struct SpatialJoinContext {
   /// kPartitionedJoin, SelectStrategy::kParallelTree); dispatching one of
   /// them with a null pool is a checked error. The storage layer is
   /// single-threaded, so the dispatcher materializes thread-safe
-  /// snapshots (exec::FrozenTree / exec::JoinItem vectors) on the calling
-  /// thread before fanning out.
+  /// snapshots on the calling thread before fanning out: exec::JoinItem
+  /// vectors for PBSM, and an exec::FrozenTree of each input tree that
+  /// is not one already (FrozenTree inputs are used as they are).
   exec::ThreadPool* exec_pool = nullptr;
   /// Grid granularity for kPartitionedJoin (tiles per axis; 0 = derive
   /// from the input size).

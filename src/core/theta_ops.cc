@@ -1,10 +1,12 @@
 #include "core/theta_ops.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <optional>
 #include <sstream>
 
+#include "common/analysis_annotations.h"
 #include "common/check.h"
 #include "common/thread_annotations.h"
 #include "geometry/buffer.h"
@@ -183,6 +185,55 @@ bool GeometryContains(const Value& a, const Value& b) {
 }
 
 // --------------------------------------------------------------------------
+// ThetaOperator / OverlapThetaUpperOp
+// --------------------------------------------------------------------------
+
+SJ_HOT void ThetaOperator::ThetaUpperBatch(const Rectangle& probe,
+                                           bool probe_is_left,
+                                           const MbrPlanes& planes, int64_t n,
+                                           uint8_t* out) const {
+  for (int64_t i = 0; i < n; ++i) {
+    SJ_BOUNDED_WORK;  // one batch: a node's children or one block row
+    const Rectangle other = planes.At(i);
+    const bool hit = probe_is_left ? ThetaUpper(probe, other)
+                                   : ThetaUpper(other, probe);
+    out[i] = static_cast<uint8_t>(hit);
+  }
+}
+
+SJ_HOT bool OverlapThetaUpperOp::ThetaUpper(const Rectangle& a,
+                                            const Rectangle& b) const {
+  return a.Overlaps(b);
+}
+
+SJ_HOT void OverlapThetaUpperOp::ThetaUpperBatch(const Rectangle& probe,
+                                                 bool probe_is_left,
+                                                 const MbrPlanes& planes,
+                                                 int64_t n,
+                                                 uint8_t* out) const {
+  // Closed overlap is symmetric, so the operand order does not matter.
+  (void)probe_is_left;
+  // An empty probe overlaps nothing; NaN stands in for its coordinates
+  // exactly as it does for an empty element, so the loop stays branch-free.
+  const double nan = std::nan("");
+  const double min_x = probe.is_empty() ? nan : probe.min_x();
+  const double min_y = probe.is_empty() ? nan : probe.min_y();
+  const double max_x = probe.is_empty() ? nan : probe.max_x();
+  const double max_y = probe.is_empty() ? nan : probe.max_y();
+  // Local plane pointers: a byte store through `out` may alias anything,
+  // so reading the pointers from `planes` would reload them per element.
+  const double* lo_x = planes.min_x;
+  const double* lo_y = planes.min_y;
+  const double* hi_x = planes.max_x;
+  const double* hi_y = planes.max_y;
+  for (int64_t i = 0; i < n; ++i) {
+    SJ_BOUNDED_WORK;  // one batch: a node's children or one block row
+    out[i] = static_cast<uint8_t>((min_x <= hi_x[i]) & (lo_x[i] <= max_x) &
+                                  (min_y <= hi_y[i]) & (lo_y[i] <= max_y));
+  }
+}
+
+// --------------------------------------------------------------------------
 // WithinDistanceOp
 // --------------------------------------------------------------------------
 
@@ -220,11 +271,6 @@ bool OverlapsOp::Theta(const Value& a, const Value& b) const {
   return GeometriesOverlap(a, b);
 }
 
-SJ_HOT bool OverlapsOp::ThetaUpper(const Rectangle& a,
-                                   const Rectangle& b) const {
-  return a.Overlaps(b);
-}
-
 std::optional<Rectangle> OverlapsOp::ProbeWindow(
     const Rectangle& b, const Rectangle& world) const {
   (void)world;
@@ -239,13 +285,6 @@ bool IncludesOp::Theta(const Value& a, const Value& b) const {
   return GeometryContains(a, b);
 }
 
-SJ_HOT bool IncludesOp::ThetaUpper(const Rectangle& a,
-                                   const Rectangle& b) const {
-  // Fig. 4: o1' and o2' merely overlapping already admits a subobject of
-  // o1 including a subobject of o2.
-  return a.Overlaps(b);
-}
-
 std::optional<Rectangle> IncludesOp::ProbeWindow(
     const Rectangle& b, const Rectangle& world) const {
   (void)world;
@@ -254,11 +293,6 @@ std::optional<Rectangle> IncludesOp::ProbeWindow(
 
 bool ContainedInOp::Theta(const Value& a, const Value& b) const {
   return GeometryContains(b, a);
-}
-
-SJ_HOT bool ContainedInOp::ThetaUpper(const Rectangle& a,
-                                      const Rectangle& b) const {
-  return a.Overlaps(b);
 }
 
 std::optional<Rectangle> ContainedInOp::ProbeWindow(
@@ -344,11 +378,6 @@ bool AdjacentOp::Theta(const Value& a, const Value& b) const {
     }
   }
   return true;
-}
-
-SJ_HOT bool AdjacentOp::ThetaUpper(const Rectangle& a,
-                                   const Rectangle& b) const {
-  return a.Overlaps(b);
 }
 
 std::optional<Rectangle> AdjacentOp::ProbeWindow(

@@ -1,16 +1,73 @@
 #ifndef SPATIALJOIN_CORE_THETA_OPS_H_
 #define SPATIALJOIN_CORE_THETA_OPS_H_
 
+#include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "geometry/point.h"
 #include "geometry/rectangle.h"
 #include "relational/value.h"
 
 namespace spatialjoin {
+
+/// A run of MBRs held as four coordinate planes (struct-of-arrays):
+/// element i is [min_x[i], max_x[i]] × [min_y[i], max_y[i]]. The empty
+/// rectangle has no coordinates, so it is stored as NaN in all four
+/// planes: every comparison against it is false, and At() decodes it back
+/// to Rectangle::Empty(). A non-empty Rectangle never holds NaN (its
+/// constructor checks min <= max), so the encoding is unambiguous.
+struct MbrPlanes {
+  const double* min_x = nullptr;
+  const double* min_y = nullptr;
+  const double* max_x = nullptr;
+  const double* max_y = nullptr;
+
+  /// The planes starting at element `i`.
+  MbrPlanes SubPlanes(int64_t i) const {
+    return {min_x + i, min_y + i, max_x + i, max_y + i};
+  }
+
+  /// Element `i` as a Rectangle.
+  Rectangle At(int64_t i) const {
+    if (std::isnan(min_x[i])) return Rectangle::Empty();
+    return Rectangle(min_x[i], min_y[i], max_x[i], max_y[i]);
+  }
+};
+
+/// Owning storage behind MbrPlanes; the one place that encodes a
+/// Rectangle into planes.
+class MbrPlaneBuffer {
+ public:
+  void AppendMbr(const Rectangle& r) {
+    const double nan = std::nan("");
+    min_x_.push_back(r.is_empty() ? nan : r.min_x());
+    min_y_.push_back(r.is_empty() ? nan : r.min_y());
+    max_x_.push_back(r.is_empty() ? nan : r.max_x());
+    max_y_.push_back(r.is_empty() ? nan : r.max_y());
+  }
+
+  void Reserve(size_t n) {
+    min_x_.reserve(n);
+    min_y_.reserve(n);
+    max_x_.reserve(n);
+    max_y_.reserve(n);
+  }
+
+  MbrPlanes view() const {
+    return {min_x_.data(), min_y_.data(), max_x_.data(), max_y_.data()};
+  }
+
+ private:
+  std::vector<double> min_x_;
+  std::vector<double> min_y_;
+  std::vector<double> max_x_;
+  std::vector<double> max_y_;
+};
 
 /// A θ-operator together with its conservative Θ-counterpart (paper §3.1,
 /// Table 1). The defining property is
@@ -37,6 +94,17 @@ class ThetaOperator {
   /// The conservative index-level predicate o1' Θ o2' on enclosing
   /// rectangles.
   virtual bool ThetaUpper(const Rectangle& a, const Rectangle& b) const = 0;
+
+  /// Θ of `probe` against `n` MBRs held as planes: out[i] becomes 1 or 0
+  /// for ThetaUpper(probe, planes.At(i)) when `probe_is_left`, else for
+  /// ThetaUpper(planes.At(i), probe). The default makes exactly those n
+  /// scalar calls, so every operator — and decorators such as
+  /// CountingTheta — is correct without overriding it; an override must
+  /// give the same answers, empty MBRs included. The FrozenTree join
+  /// kernel (exec/parallel_join.h) tests one row of candidates per call.
+  virtual void ThetaUpperBatch(const Rectangle& probe, bool probe_is_left,
+                               const MbrPlanes& planes, int64_t n,
+                               uint8_t* out) const;
 
   /// A probe window for window-based access methods (grid file, native
   /// R-tree search): a rectangle W(b) such that Θ(a, b) implies a
@@ -92,12 +160,23 @@ class WithinDistanceOp : public ThetaOperator {
   double distance_;
 };
 
+/// Base of the operators whose Θ is closed rectangle overlap — overlaps,
+/// includes, contained_in and adjacent (Table 1 rows 2–4 and the Fig. 1
+/// operator) — so the four share one scalar Θ and one branch-free batched
+/// Θ.
+class OverlapThetaUpperOp : public ThetaOperator {
+ public:
+  bool ThetaUpper(const Rectangle& a, const Rectangle& b) const override;
+  void ThetaUpperBatch(const Rectangle& probe, bool probe_is_left,
+                       const MbrPlanes& planes, int64_t n,
+                       uint8_t* out) const override;
+};
+
 /// "o1 overlaps o2" — Θ is rectangle overlap (Table 1, row 2).
-class OverlapsOp : public ThetaOperator {
+class OverlapsOp : public OverlapThetaUpperOp {
  public:
   std::string name() const override { return "overlaps"; }
   bool Theta(const Value& a, const Value& b) const override;
-  bool ThetaUpper(const Rectangle& a, const Rectangle& b) const override;
   std::optional<Rectangle> ProbeWindow(
       const Rectangle& b, const Rectangle& world) const override;
   bool is_symmetric() const override { return true; }
@@ -106,21 +185,19 @@ class OverlapsOp : public ThetaOperator {
 /// "o1 includes o2" — Θ is rectangle overlap (Table 1, row 3 / Fig. 4:
 /// a subobject of o1' may include a subobject of o2' as soon as the
 /// containers overlap).
-class IncludesOp : public ThetaOperator {
+class IncludesOp : public OverlapThetaUpperOp {
  public:
   std::string name() const override { return "includes"; }
   bool Theta(const Value& a, const Value& b) const override;
-  bool ThetaUpper(const Rectangle& a, const Rectangle& b) const override;
   std::optional<Rectangle> ProbeWindow(
       const Rectangle& b, const Rectangle& world) const override;
 };
 
 /// "o1 contained in o2" — mirror of IncludesOp (Table 1, row 4).
-class ContainedInOp : public ThetaOperator {
+class ContainedInOp : public OverlapThetaUpperOp {
  public:
   std::string name() const override { return "contained_in"; }
   bool Theta(const Value& a, const Value& b) const override;
-  bool ThetaUpper(const Rectangle& a, const Rectangle& b) const override;
   std::optional<Rectangle> ProbeWindow(
       const Rectangle& b, const Rectangle& world) const override;
 };
@@ -143,11 +220,10 @@ class NorthwestOfOp : public ThetaOperator {
 /// sharing interior. For rectangles: closest distance 0 but zero-area
 /// intersection. Θ is closed overlap (touching containers are necessary
 /// for touching contents).
-class AdjacentOp : public ThetaOperator {
+class AdjacentOp : public OverlapThetaUpperOp {
  public:
   std::string name() const override { return "adjacent"; }
   bool Theta(const Value& a, const Value& b) const override;
-  bool ThetaUpper(const Rectangle& a, const Rectangle& b) const override;
   std::optional<Rectangle> ProbeWindow(
       const Rectangle& b, const Rectangle& world) const override;
   bool is_symmetric() const override { return true; }
@@ -176,7 +252,10 @@ class ReachableWithinOp : public ThetaOperator {
 
 /// Decorator counting θ and Θ evaluations — the empirical analogue of the
 /// model's computation cost (C_θ per test; Θ and θ are charged alike,
-/// matching the paper's single C_θ).
+/// matching the paper's single C_θ). It keeps the default
+/// ThetaUpperBatch, so a batched Θ counts once per element. The counters
+/// are atomic: a decorated operator may be shared by the workers of a
+/// pooled join.
 class CountingTheta : public ThetaOperator {
  public:
   explicit CountingTheta(const ThetaOperator* inner);
@@ -193,13 +272,13 @@ class CountingTheta : public ThetaOperator {
 
   int64_t theta_count() const { return theta_count_; }
   int64_t theta_upper_count() const { return theta_upper_count_; }
-  int64_t total_count() const { return theta_count_ + theta_upper_count_; }
+  int64_t total_count() const { return theta_count() + theta_upper_count(); }
   void Reset();
 
  private:
   const ThetaOperator* inner_;
-  mutable int64_t theta_count_ = 0;
-  mutable int64_t theta_upper_count_ = 0;
+  mutable std::atomic<int64_t> theta_count_{0};
+  mutable std::atomic<int64_t> theta_upper_count_{0};
 };
 
 }  // namespace spatialjoin

@@ -1,10 +1,10 @@
 #include "exec/frozen_tree.h"
 
+#include <algorithm>
 #include <deque>
-#include <utility>
+#include <numeric>
 
 #include "common/analysis_annotations.h"
-#include "common/check.h"
 #include "obs/span.h"
 
 namespace spatialjoin {
@@ -15,79 +15,82 @@ FrozenTree FrozenTree::Materialize(const GeneralizationTree& source) {
   FrozenTree frozen;
   frozen.height_ = source.height();
 
-  // BFS over the source, assigning dense ids in visit order. The child
-  // lists are rewritten in terms of the dense ids in a second pass, once
-  // every source node has its final position.
-  std::vector<NodeId> source_ids;          // dense id -> source id
-  std::vector<std::vector<NodeId>> kids;   // dense id -> source child ids
+  // Sized up front: growing the arrays while the source's page reads churn
+  // the heap slows the walk. num_nodes() does no I/O, so the source
+  // accesses are exactly those of the walk below.
+  const size_t expected =
+      static_cast<size_t>(std::max<int64_t>(1, source.num_nodes()));
+  frozen.mbrs_.Reserve(expected);
+  frozen.geometries_.reserve(expected);
+  frozen.tuples_.reserve(expected);
+  frozen.heights_.reserve(expected);
+  frozen.application_.reserve(expected);
+  frozen.child_offsets_.reserve(expected + 1);
+  // BFS over the source, assigning dense ids in visit order. The children
+  // of the node visited i-th are visited consecutively, so their dense ids
+  // start at a running cursor: one offset per node describes them all.
+  NodeId next_dense = 1;
   std::deque<NodeId> worklist;
   worklist.push_back(source.root());
   while (!worklist.empty()) {
     SJ_BOUNDED_WORK;  // one BFS pass per dataset load; not a query path
     NodeId src = worklist.front();
     worklist.pop_front();
-    source_ids.push_back(src);
-    Node node;
-    node.geometry = source.Geometry(src);
-    node.mbr = source.MbrOf(src);
-    node.tuple = source.TupleOf(src);
-    node.height = source.HeightOf(src);
-    node.application = source.IsApplicationNode(src);
-    frozen.nodes_.push_back(std::move(node));
-    kids.push_back(source.Children(src));
-    for (NodeId child : kids.back()) {
+    frozen.geometries_.push_back(source.Geometry(src));
+    frozen.mbrs_.AppendMbr(source.MbrOf(src));
+    frozen.tuples_.push_back(source.TupleOf(src));
+    frozen.heights_.push_back(source.HeightOf(src));
+    frozen.application_.push_back(source.IsApplicationNode(src) ? 1 : 0);
+    std::vector<NodeId> kids = source.Children(src);
+    frozen.child_offsets_.push_back(next_dense);
+    next_dense += static_cast<NodeId>(kids.size());
+    frozen.max_fanout_ =
+        std::max(frozen.max_fanout_, static_cast<int64_t>(kids.size()));
+    for (NodeId child : kids) {
       SJ_BOUNDED_WORK;  // one node's children (node fanout)
       worklist.push_back(child);
     }
   }
-
-  // BFS visits children in push order, so the dense id of the j-th child
-  // of dense node i is a running cursor over the visit sequence.
-  NodeId next_dense = 1;
-  for (size_t i = 0; i < kids.size(); ++i) {
-    SJ_BOUNDED_WORK;  // child-rewrite pass per dataset load; not a query path
-    Node& node = frozen.nodes_[i];
-    node.child_begin = static_cast<int64_t>(frozen.children_.size());
-    for (size_t j = 0; j < kids[i].size(); ++j) {
-      SJ_BOUNDED_WORK;  // one node's children (node fanout)
-      frozen.children_.push_back(next_dense++);
-    }
-    node.child_end = static_cast<int64_t>(frozen.children_.size());
-  }
-  SJ_CHECK_EQ(next_dense, static_cast<NodeId>(frozen.nodes_.size()));
+  frozen.child_offsets_.push_back(next_dense);
+  SJ_CHECK_EQ(next_dense, frozen.num_nodes());
   return frozen;
 }
 
-SJ_HOT const FrozenTree::Node& FrozenTree::NodeAt(NodeId id) const {
-  SJ_CHECK(id >= 0 && id < static_cast<NodeId>(nodes_.size()));
-  return nodes_[static_cast<size_t>(id)];
+void FrozenTree::CheckNode(NodeId node) const {
+  SJ_CHECK(node >= 0 && node < num_nodes());
 }
 
 SJ_HOT int FrozenTree::HeightOf(NodeId node) const {
-  return NodeAt(node).height;
+  CheckNode(node);
+  return HeightAt(node);
 }
 
 SJ_HOT std::vector<NodeId> FrozenTree::Children(NodeId node) const {
-  const Node& n = NodeAt(node);
-  return std::vector<NodeId>(
-      children_.begin() + static_cast<ptrdiff_t>(n.child_begin),
-      children_.begin() + static_cast<ptrdiff_t>(n.child_end));
+  CheckNode(node);
+  const NodeRange kids = ChildSpan(node);
+  std::vector<NodeId> out(static_cast<size_t>(kids.size()));
+  std::iota(out.begin(), out.end(), kids.begin);
+  return out;
 }
 
 SJ_HOT Value FrozenTree::Geometry(NodeId node) const {
-  return NodeAt(node).geometry;
+  CheckNode(node);
+  return GeometryRef(node);
 }
 
 SJ_HOT Rectangle FrozenTree::MbrOf(NodeId node) const {
-  return NodeAt(node).mbr;
+  CheckNode(node);
+  return MbrAt(node);
 }
 
 SJ_HOT bool FrozenTree::IsApplicationNode(NodeId node) const {
-  return NodeAt(node).application;
+  CheckNode(node);
+  return IsApplicationAt(node);
 }
 
 SJ_HOT TupleId FrozenTree::TupleOf(NodeId node) const {
-  return NodeAt(node).tuple;
+  CheckNode(node);
+  return TupleAt(node);
 }
 
 }  // namespace exec

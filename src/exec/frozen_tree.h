@@ -4,27 +4,38 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/check.h"
 #include "common/thread_annotations.h"
 #include "core/gentree.h"
+#include "core/theta_ops.h"
 
 namespace spatialjoin {
 namespace exec {
+
+/// A run of consecutive node ids [begin, end).
+struct NodeRange {
+  NodeId begin = 0;
+  NodeId end = 0;
+  int64_t size() const { return end - begin; }
+};
 
 /// An immutable, fully materialized snapshot of a GeneralizationTree.
 ///
 /// The engine's storage layer is deliberately single-threaded (BufferPool
 /// hands out unpinned pointers), so the disk-backed tree adapters are not
-/// safe for concurrent reads. The parallel algorithms therefore run over a
-/// FrozenTree: `Materialize` walks the source tree once on the calling
-/// thread — paying all page I/O up front, which matches the load phase
-/// that in-memory parallel join systems assume — and copies every node's
-/// MBR, geometry, height, tuple link, and child list into flat arrays.
-/// After that, all accessors are pure reads of immutable data and safe
-/// from any number of threads.
+/// safe for concurrent reads. `Materialize` walks the source tree once on
+/// the calling thread — paying all page I/O up front, which matches the
+/// load phase that in-memory join systems assume — and after that every
+/// accessor is a pure read of immutable data, safe from any number of
+/// threads.
 ///
-/// Node ids are densified to [0, num_nodes) in BFS order with the root at
-/// id 0, so per-node side arrays in the parallel algorithms can be plain
-/// vectors indexed by NodeId.
+/// Layout (struct-of-arrays, DESIGN.md §7): node ids are densified to
+/// [0, num_nodes) in BFS order with the root at id 0, so a node's children
+/// are the contiguous id range ChildSpan(node) and one offset per node
+/// replaces any child list. MBRs live in four coordinate planes
+/// (MbrPlanes), which the join kernel hands to
+/// ThetaOperator::ThetaUpperBatch a row at a time; geometries are held out
+/// of line and touched only by θ.
 class FrozenTree : public GeneralizationTree {
  public:
   /// Snapshots `source` (single-threaded; pays the full tree's I/O).
@@ -35,12 +46,11 @@ class FrozenTree : public GeneralizationTree {
   FrozenTree(const FrozenTree&) = delete;
   FrozenTree& operator=(const FrozenTree&) = delete;
 
-  // GeneralizationTree interface — all const, concurrently callable.
-  // The per-node scans are SJ_HOT: they sit inside the parallel join's
-  // innermost loops, so sj_analyze holds them to the no-alloc/no-lock
-  // purity contract. Children() is the one exception — it returns a
-  // freshly built vector (a baselined finding; ROADMAP item 3's
-  // span-based accessor will retire it).
+  // GeneralizationTree interface — all const, concurrently callable, for
+  // the generic callers (join_detail kernel, DFS select, audits). SJ_HOT
+  // holds them to the no-alloc/no-lock contract; Children() is the one
+  // exception, as the interface returns a fresh vector (a baselined
+  // finding). The flat kernel uses the accessors below instead.
   NodeId root() const override { return 0; }
   int height() const override { return height_; }
   SJ_HOT int HeightOf(NodeId node) const override;
@@ -50,28 +60,54 @@ class FrozenTree : public GeneralizationTree {
   SJ_HOT bool IsApplicationNode(NodeId node) const override;
   SJ_HOT TupleId TupleOf(NodeId node) const override;
   int64_t num_nodes() const override {
-    return static_cast<int64_t>(nodes_.size());
+    return static_cast<int64_t>(heights_.size());
   }
 
- private:
-  struct Node {
-    Value geometry;
-    Rectangle mbr;
-    TupleId tuple = kInvalidTupleId;
-    int height = 0;
-    bool application = false;
-    // Children occupy [child_begin, child_end) of children_.
-    int64_t child_begin = 0;
-    int64_t child_end = 0;
-  };
+  // Flat accessors: non-virtual, copy-free, bounds-checked only in debug
+  // builds (callers pass ids taken from this tree).
 
+  /// The MBR planes, indexed by node id.
+  SJ_HOT MbrPlanes planes() const { return mbrs_.view(); }
+  /// The children of `node`: BFS numbering makes them consecutive.
+  SJ_HOT NodeRange ChildSpan(NodeId node) const {
+    SJ_DCHECK(node >= 0 && node < num_nodes());
+    const size_t i = static_cast<size_t>(node);
+    return {child_offsets_[i], child_offsets_[i + 1]};
+  }
+  SJ_HOT Rectangle MbrAt(NodeId node) const { return planes().At(node); }
+  SJ_HOT const Value& GeometryRef(NodeId node) const {
+    SJ_DCHECK(node >= 0 && node < num_nodes());
+    return geometries_[static_cast<size_t>(node)];
+  }
+  SJ_HOT bool IsApplicationAt(NodeId node) const {
+    SJ_DCHECK(node >= 0 && node < num_nodes());
+    return application_[static_cast<size_t>(node)] != 0;
+  }
+  SJ_HOT TupleId TupleAt(NodeId node) const {
+    SJ_DCHECK(node >= 0 && node < num_nodes());
+    return tuples_[static_cast<size_t>(node)];
+  }
+  SJ_HOT int HeightAt(NodeId node) const {
+    SJ_DCHECK(node >= 0 && node < num_nodes());
+    return heights_[static_cast<size_t>(node)];
+  }
+  /// Largest child count of any node (sizes the kernel's scratch rows).
+  SJ_HOT int64_t max_fanout() const { return max_fanout_; }
+
+ private:
   FrozenTree() = default;
 
-  SJ_HOT const Node& NodeAt(NodeId id) const;
+  void CheckNode(NodeId node) const;
 
-  std::vector<Node> nodes_;
-  std::vector<NodeId> children_;
+  MbrPlaneBuffer mbrs_;
+  std::vector<Value> geometries_;
+  std::vector<TupleId> tuples_;
+  std::vector<int> heights_;
+  std::vector<uint8_t> application_;
+  // Children of node i are [child_offsets_[i], child_offsets_[i + 1]).
+  std::vector<NodeId> child_offsets_;
   int height_ = 0;
+  int64_t max_fanout_ = 0;
 };
 
 }  // namespace exec

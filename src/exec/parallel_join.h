@@ -1,48 +1,47 @@
 #ifndef SPATIALJOIN_EXEC_PARALLEL_JOIN_H_
 #define SPATIALJOIN_EXEC_PARALLEL_JOIN_H_
 
-#include <cstdint>
-
-#include "core/gentree.h"
 #include "core/join.h"
 #include "core/theta_ops.h"
 #include "exec/cancel.h"
+#include "exec/frozen_tree.h"
 #include "exec/thread_pool.h"
+#include "obs/trace.h"
 
 namespace spatialjoin {
 namespace exec {
 
-/// Tuning knobs for ParallelTreeJoin.
-struct ParallelJoinOptions {
-  /// QualPairs entries per task. The sharding is a function of this value
-  /// and the worklist size only — never of the worker count — so the
-  /// merged output is identical for every pool width.
-  int64_t chunk_pairs = 16;
-};
-
-/// Algorithm JOIN (paper §3.3), level-synchronized and data-parallel.
+/// Algorithm JOIN (paper §3.3) over two FrozenTrees: the flat kernel and
+/// its level driver (exec/flat_kernel.cc, DESIGN.md §7).
 ///
-/// Each QualPairs[j] worklist is an independent bag of (a, b) node pairs:
-/// the worklist is cut into fixed-size chunks, every chunk runs the
-/// sequential JOIN2–JOIN4 body (join_detail::ProcessQualPair) against its
-/// own output buffer on some worker, and the per-chunk buffers are merged
-/// in chunk order between levels. Because chunking depends only on
-/// `chunk_pairs`, the merged matches, the next worklist, and every counter
-/// are byte-identical to the sequential TreeJoin — at any thread count.
+/// Each QualPairs[j] level is held as cross-product blocks — the
+/// Θ-qualifying children of a × those of b, exactly as one JOIN4 step
+/// records them — and expanded in the a-major order the generic kernel
+/// (core/join_detail.h) appends pairs in, so the pair list itself is never
+/// stored. Each block row (one a against all its b partners) is Θ-tested
+/// by one ThetaOperator::ThetaUpperBatch call over the gathered b-side
+/// MBR planes; JOIN3's θ and the two JOIN4 selection passes run per
+/// Θ-qualifying pair, the passes Θ-testing whole child id ranges per
+/// call. Scratch rows are reused, so nothing is allocated per pair or per
+/// pass.
 ///
-/// Both trees and the operator must be safe for concurrent reads; snapshot
-/// disk-backed trees with FrozenTree::Materialize first (the strategy
-/// dispatcher does exactly that).
+/// `pool` is optional. Null runs every level on the calling thread; this
+/// is the path TreeJoin takes for FrozenTree inputs. With a pool, a level
+/// with more than one chunk's worth of expected Θ work is cut into runs
+/// of block rows, each chunk runs on some worker into its own buffers,
+/// and the buffers are merged in chunk order at the level barrier.
+/// Either way the matches (in order), the four JoinResult counters, the
+/// `trace` level counts, and the stop points are those of the generic
+/// TreeJoin on the source trees, at any pool width.
 ///
-/// `cancel` is polled at the level barrier, where no chunk is in flight:
-/// a stopped join returns the merged prefix of completed levels and the
-/// pool quiescent — identical semantics to the sequential TreeJoin's
-/// level-boundary stop.
-JoinResult ParallelTreeJoin(const GeneralizationTree& r_tree,
-                            const GeneralizationTree& s_tree,
+/// `cancel` is polled at every level boundary, where no chunk is in
+/// flight: a stopped join returns the prefix of completed levels with
+/// the pool quiescent. Both trees and the operator must be safe for
+/// concurrent reads (FrozenTree is; every Table 1 operator is).
+JoinResult ParallelTreeJoin(const FrozenTree& r_tree, const FrozenTree& s_tree,
                             const ThetaOperator& op, ThreadPool* pool,
-                            const ParallelJoinOptions& options = {},
-                            const CancelToken* cancel = nullptr);
+                            const CancelToken* cancel = nullptr,
+                            QueryTrace* trace = nullptr);
 
 }  // namespace exec
 }  // namespace spatialjoin

@@ -1,43 +1,34 @@
 #ifndef SPATIALJOIN_EXEC_PARALLEL_SELECT_H_
 #define SPATIALJOIN_EXEC_PARALLEL_SELECT_H_
 
-#include <cstdint>
-
-#include "core/gentree.h"
 #include "core/select.h"
 #include "core/theta_ops.h"
 #include "exec/cancel.h"
+#include "exec/frozen_tree.h"
 #include "exec/thread_pool.h"
+#include "obs/trace.h"
 
 namespace spatialjoin {
 namespace exec {
 
-/// Tuning knobs for ParallelSelect.
-struct ParallelSelectOptions {
-  /// Frontier nodes per task; like ParallelJoinOptions::chunk_pairs, the
-  /// sharding depends only on this value, so results are identical across
-  /// worker counts.
-  int64_t chunk_nodes = 64;
-};
-
-/// Algorithm SELECT (paper §3.2), breadth-first with the QualNodes[j]
-/// frontier sharded per level: each chunk of the frontier is Θ/θ-tested on
-/// some worker into chunk-local buffers (matches, counters, children), and
-/// the buffers are merged in chunk order to form the next frontier. The
-/// merged `matching_nodes` order equals the sequential breadth-first
-/// visit order exactly, at any thread count.
+/// Algorithm SELECT (paper §3.2), breadth-first over a FrozenTree: the
+/// same level driver as ParallelTreeJoin (exec/flat_kernel.cc). Each
+/// QualNodes[j] frontier is a list of child id ranges, Θ-tested one range
+/// per ThetaOperator::ThetaUpperBatch call; qualifying nodes are θ-tested
+/// and their child ranges form the next frontier. `matching_nodes` comes
+/// out in the sequential breadth-first visit order at any pool width.
 ///
-/// The tree and operator must be safe for concurrent reads (FrozenTree,
-/// or MemoryGenTree without an attached relation).
-///
-/// `cancel` is polled at the per-level barrier (no chunk in flight): a
-/// stopped selection returns the merged prefix of completed levels with
-/// the pool quiescent.
-SelectResult ParallelSelect(const Value& selector,
-                            const GeneralizationTree& tree,
+/// Without a pool (SpatialSelect's path for FrozenTree inputs) the
+/// selection heartbeats and polls `cancel` at entry and every 256 visits,
+/// exactly like the generic SpatialSelect, and fills `trace` the same
+/// way. With a pool, a frontier larger than one chunk is cut into chunks
+/// by node count and merged in chunk order, and `cancel` is polled at
+/// each level barrier: a stopped selection returns the prefix of
+/// completed levels with the pool quiescent.
+SelectResult ParallelSelect(const Value& selector, const FrozenTree& tree,
                             const ThetaOperator& op, ThreadPool* pool,
-                            const ParallelSelectOptions& options = {},
-                            const CancelToken* cancel = nullptr);
+                            const CancelToken* cancel = nullptr,
+                            QueryTrace* trace = nullptr);
 
 }  // namespace exec
 }  // namespace spatialjoin

@@ -445,7 +445,11 @@ class DataflowCoverageTest(unittest.TestCase):
                          "spatialjoin::TreeJoin",
                          "spatialjoin::LocalJoinIndex::Execute",
                          "spatialjoin::exec::PartitionedJoin",
-                         "spatialjoin::exec::ParallelTreeJoin"):
+                         "spatialjoin::exec::ParallelTreeJoin",
+                         "spatialjoin::exec::ParallelSelect",
+                         "spatialjoin::exec::RunPairRows",
+                         "spatialjoin::exec::ScanBelow",
+                         "spatialjoin::exec::SelectRun"):
             self.assertIn(expected, covered)
 
     def test_session_reply_path_has_no_blocking_under_lock(self):

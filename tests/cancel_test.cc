@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -193,7 +194,7 @@ TEST_F(CancelExecutionTest, CancelledParallelJoinLeavesPoolQuiescent) {
   exec::CancelToken token;
   token.Cancel();
   JoinResult stopped = exec::ParallelTreeJoin(r_frozen, s_frozen, op,
-                                              &workers, {}, &token);
+                                              &workers, &token);
   EXPECT_TRUE(stopped.matches.empty());
 
   // The cancelled join reached its level barrier before stopping, so no
@@ -212,12 +213,37 @@ TEST_F(CancelExecutionTest, CancelledParallelSelectLeavesPoolQuiescent) {
   token.Cancel();
   Value selector(Rectangle(100, 100, 400, 400));
   SelectResult stopped =
-      exec::ParallelSelect(selector, s_frozen, op, &workers, {}, &token);
+      exec::ParallelSelect(selector, s_frozen, op, &workers, &token);
   EXPECT_TRUE(stopped.matching_tuples.empty());
   EXPECT_TRUE(workers.Quiescent());
   audit::AuditReport report = audit::AuditThreadPool(workers);
   EXPECT_TRUE(report.ok()) << report.ToJson();
 }
+
+// Cancels `token` on the `after`-th Θ evaluation: a cancel that lands at
+// a known point of the traversal, so two kernels can be held to the same
+// stop point. Keeps the default ThetaUpperBatch, which makes one
+// ThetaUpper call per element.
+class CancellingTheta : public ThetaOperator {
+ public:
+  CancellingTheta(const ThetaOperator* inner, exec::CancelToken* token,
+                  int64_t after)
+      : inner_(inner), token_(token), after_(after) {}
+  std::string name() const override { return inner_->name(); }
+  bool Theta(const Value& a, const Value& b) const override {
+    return inner_->Theta(a, b);
+  }
+  bool ThetaUpper(const Rectangle& a, const Rectangle& b) const override {
+    if (++calls_ == after_) token_->Cancel();
+    return inner_->ThetaUpper(a, b);
+  }
+
+ private:
+  const ThetaOperator* inner_;
+  exec::CancelToken* token_;
+  int64_t after_;
+  mutable int64_t calls_ = 0;
+};
 
 TEST_F(CancelExecutionTest, MidFlightCancelStopsAtALevelBoundary) {
   // Cancellation from another thread, racing the traversal: wherever the
@@ -237,7 +263,7 @@ TEST_F(CancelExecutionTest, MidFlightCancelStopsAtALevelBoundary) {
     token.Cancel();
   });
   JoinResult stopped = exec::ParallelTreeJoin(r_frozen, s_frozen, op,
-                                              &workers, {}, &token);
+                                              &workers, &token);
   canceller.join();
 
   // Whatever was produced is a prefix of the full result.
@@ -247,6 +273,72 @@ TEST_F(CancelExecutionTest, MidFlightCancelStopsAtALevelBoundary) {
   }
   EXPECT_LE(stopped.qual_pairs_examined, full.qual_pairs_examined);
   EXPECT_TRUE(workers.Quiescent());
+
+  // FrozenTree inputs to the sequential TreeJoin and SpatialSelect, which
+  // take the flat kernel: cancelled at the same Θ evaluation as the
+  // generic kernel on the source trees, they stop at the same point and
+  // return the same prefix. The selection runs over a tree of 1500
+  // rectangles, so several of its 256-visit poll points fall inside it.
+  Relation big("big", Schema({{"id", ValueType::kInt64},
+                              {"box", ValueType::kRectangle}}),
+               &pool_);
+  RTree big_rtree(&pool_, RTreeSplit::kQuadratic, 8);
+  RectGenerator gen_big(world_, 33);
+  for (int64_t i = 0; i < 1500; ++i) {
+    Rectangle box = gen_big.NextRect(2, 30);
+    big_rtree.Insert(box, big.Insert(Tuple({Value(i), Value(box)})));
+  }
+  RTreeGenTree big_adapter(&big_rtree, &big, 1);
+  exec::FrozenTree big_frozen = exec::FrozenTree::Materialize(big_adapter);
+  Value selector(Rectangle(0, 0, 600, 600));
+  const SelectResult full_select = SpatialSelect(selector, big_adapter, op);
+  ASSERT_GT(full_select.theta_upper_tests, 1024);
+  for (int64_t after : {1, 40, 300, 700, 5000}) {
+    exec::CancelToken generic_token;
+    exec::CancelToken flat_token;
+    CancellingTheta generic_op(&op, &generic_token, after);
+    CancellingTheta flat_op(&op, &flat_token, after);
+    const JoinResult generic =
+        TreeJoin(*r_adapter_, *s_adapter_, generic_op,
+                 Traversal::kBreadthFirst, nullptr, &generic_token);
+    const JoinResult flat = TreeJoin(r_frozen, s_frozen, flat_op,
+                                     Traversal::kBreadthFirst, nullptr,
+                                     &flat_token);
+    EXPECT_EQ(flat.matches, generic.matches) << "join, after " << after;
+    EXPECT_EQ(flat.qual_pairs_examined, generic.qual_pairs_examined)
+        << "join, after " << after;
+    EXPECT_EQ(flat.theta_upper_tests, generic.theta_upper_tests)
+        << "join, after " << after;
+    ASSERT_LE(flat.matches.size(), full.matches.size());
+    for (size_t i = 0; i < flat.matches.size(); ++i) {
+      EXPECT_EQ(flat.matches[i], full.matches[i]) << "at " << i;
+    }
+
+    exec::CancelToken generic_select_token;
+    exec::CancelToken flat_select_token;
+    CancellingTheta generic_select_op(&op, &generic_select_token, after);
+    CancellingTheta flat_select_op(&op, &flat_select_token, after);
+    const SelectResult generic_select =
+        SpatialSelect(selector, big_adapter, generic_select_op,
+                      Traversal::kBreadthFirst, nullptr,
+                      &generic_select_token);
+    const SelectResult flat_select =
+        SpatialSelect(selector, big_frozen, flat_select_op,
+                      Traversal::kBreadthFirst, nullptr, &flat_select_token);
+    EXPECT_EQ(flat_select.matching_tuples, generic_select.matching_tuples)
+        << "select, after " << after;
+    EXPECT_EQ(flat_select.theta_upper_tests, generic_select.theta_upper_tests)
+        << "select, after " << after;
+    EXPECT_EQ(flat_select.nodes_accessed, generic_select.nodes_accessed)
+        << "select, after " << after;
+    ASSERT_LE(flat_select.matching_tuples.size(),
+              full_select.matching_tuples.size());
+    for (size_t i = 0; i < flat_select.matching_tuples.size(); ++i) {
+      EXPECT_EQ(flat_select.matching_tuples[i],
+                full_select.matching_tuples[i])
+          << "at " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "core/join.h"
+#include "core/memory_gentree.h"
 #include "core/select.h"
 #include "core/spatial_join.h"
 #include "core/theta_ops.h"
@@ -14,6 +18,7 @@
 #include "exec/parallel_select.h"
 #include "exec/partitioned_join.h"
 #include "exec/thread_pool.h"
+#include "obs/trace.h"
 #include "rtree/rtree.h"
 #include "rtree/rtree_gentree.h"
 #include "storage/buffer_pool.h"
@@ -46,6 +51,108 @@ std::vector<NamedOp> Table1Operators() {
   ops.push_back(
       {"reachable_within", std::make_unique<ReachableWithinOp>(5.0, 2.0)});
   return ops;
+}
+
+// One side of a disk-backed join input: a relation, its R-tree and the
+// generalization-tree adapter over both.
+struct RTreeSide {
+  std::unique_ptr<Relation> relation;
+  std::unique_ptr<RTree> rtree;
+  std::unique_ptr<RTreeGenTree> adapter;
+};
+
+// `n` convex polygons (6 vertices) in `world`, indexed by an R-tree.
+RTreeSide PolygonSide(BufferPool* pool, const Rectangle& world,
+                      uint64_t seed, int64_t n) {
+  RTreeSide side;
+  Schema schema({{"id", ValueType::kInt64}, {"geom", ValueType::kPolygon}});
+  side.relation = std::make_unique<Relation>("p", schema, pool);
+  side.rtree = std::make_unique<RTree>(pool, RTreeSplit::kQuadratic, 8);
+  RectGenerator gen(world, seed);
+  for (int64_t i = 0; i < n; ++i) {
+    Value polygon(gen.NextPolygon(2, 12, 6));
+    side.rtree->Insert(polygon.Mbr(),
+                       side.relation->Insert(Tuple({Value(i), polygon})));
+  }
+  side.adapter =
+      std::make_unique<RTreeGenTree>(side.rtree.get(), side.relation.get(), 1);
+  return side;
+}
+
+// An application hierarchy (paper Fig. 3) with what R-trees never have:
+// interior nodes that are application objects (every third node is
+// technical instead), leaves at unequal heights (3 and 4), and mixed
+// rectangle and polygon geometry. Each child is a random sub-cell of its
+// parent, five per node down to height 3 and zero to five below; the
+// cells overlap enough that two such trees have over 4096 QualPairs at
+// height 3 — more than one pool chunk (exec/flat_kernel.cc) — so the
+// pooled join merges chunked blocks that the next level then expands.
+std::unique_ptr<MemoryGenTree> RandomHierarchy(const Rectangle& world,
+                                               uint64_t seed) {
+  auto tree = std::make_unique<MemoryGenTree>();
+  Rng rng(seed);
+  TupleId next_tuple = static_cast<TupleId>(seed) * 1000;
+  auto add = [&](NodeId parent, const Rectangle& cell) {
+    Value geometry(cell);
+    if (rng.NextUint64(3) == 0) {
+      // The diamond inscribed in the cell: same MBR, polygon θ.
+      const Point c = cell.Center();
+      geometry = Value(Polygon({Point(c.x, cell.min_y()),
+                                Point(cell.max_x(), c.y),
+                                Point(c.x, cell.max_y()),
+                                Point(cell.min_x(), c.y)}));
+    }
+    const TupleId tuple =
+        rng.NextUint64(3) == 0 ? kInvalidTupleId : next_tuple++;
+    return tree->AddNode(parent, geometry, tuple);
+  };
+  std::function<void(NodeId, const Rectangle&, int)> grow =
+      [&](NodeId parent, const Rectangle& cell, int depth) {
+        const int64_t kids =
+            depth < 3 ? 5 : (depth == 3 ? rng.NextInt(0, 5) : 0);
+        for (int64_t k = 0; k < kids; ++k) {
+          const double w = cell.width() * rng.NextDouble(0.3, 0.7);
+          const double h = cell.height() * rng.NextDouble(0.3, 0.7);
+          const double x = rng.NextDouble(cell.min_x(), cell.max_x() - w);
+          const double y = rng.NextDouble(cell.min_y(), cell.max_y() - h);
+          const Rectangle sub(x, y, x + w, y + h);
+          grow(add(parent, sub), sub, depth + 1);
+        }
+      };
+  grow(add(kInvalidNodeId, world), world, 0);
+  return tree;
+}
+
+// 100 blocks of 60 rectangles, each holding its center point: the
+// frontiers below the root's children (6000 nodes in 100 sibling runs,
+// then 6000 runs of one) are wide enough to be cut into pool chunks, and
+// the first of them feeds the second.
+std::unique_ptr<MemoryGenTree> WideHierarchy(const Rectangle& world) {
+  auto tree = std::make_unique<MemoryGenTree>();
+  const NodeId root = tree->AddNode(kInvalidNodeId, Value(world));
+  TupleId next_tuple = 0;
+  const double cell = world.width() / 10.0;
+  for (int i = 0; i < 100; ++i) {
+    const Rectangle block(world.min_x() + cell * (i % 10),
+                          world.min_y() + cell * (i / 10),
+                          world.min_x() + cell * (i % 10 + 1),
+                          world.min_y() + cell * (i / 10 + 1));
+    const NodeId parent = tree->AddNode(root, Value(block), next_tuple++);
+    RectGenerator gen(block, static_cast<uint64_t>(500 + i));
+    for (int k = 0; k < 60; ++k) {
+      const Rectangle box = gen.NextRect(1, 8);
+      const NodeId child = tree->AddNode(parent, Value(box), next_tuple++);
+      tree->AddNode(child, Value(box.Center()), next_tuple++);
+    }
+  }
+  return tree;
+}
+
+// A tree that is only its root (an application object).
+std::unique_ptr<MemoryGenTree> OneNodeTree(const Rectangle& box) {
+  auto tree = std::make_unique<MemoryGenTree>();
+  tree->AddNode(kInvalidNodeId, Value(box), 7);
+  return tree;
 }
 
 // Two rectangle relations with R-trees, mirroring the dispatcher fixture,
@@ -83,33 +190,169 @@ class ParallelExecTest : public ::testing::Test {
   std::unique_ptr<RTreeGenTree> s_adapter_;
 };
 
+// Pool widths under test; 0 means no pool (the path TreeJoin and
+// SpatialSelect take for FrozenTree inputs).
+constexpr int kPoolWidths[] = {0, 1, 2, 4, 8};
 constexpr int kThreadWidths[] = {1, 2, 4, 8};
 
-TEST_F(ParallelExecTest, ParallelTreeJoinIsByteIdenticalToSequential) {
-  exec::FrozenTree r_frozen = exec::FrozenTree::Materialize(*r_adapter_);
-  exec::FrozenTree s_frozen = exec::FrozenTree::Materialize(*s_adapter_);
-  for (const NamedOp& entry : Table1Operators()) {
-    // Sequential baseline over the same frozen inputs the parallel join
-    // sees, so the comparison is execution-strategy-only.
-    JoinResult sequential = TreeJoin(r_frozen, s_frozen, *entry.op);
-    for (int width : kThreadWidths) {
-      exec::ThreadPool workers(width);
-      JoinResult parallel =
-          exec::ParallelTreeJoin(r_frozen, s_frozen, *entry.op, &workers);
-      // Not just the same set: the same matches in the same order, and
-      // the same work counters — the chunk merge reproduces sequential
-      // execution exactly.
-      EXPECT_EQ(parallel.matches, sequential.matches)
-          << entry.label << " @ " << width << " threads";
-      EXPECT_EQ(parallel.theta_tests, sequential.theta_tests)
-          << entry.label << " @ " << width << " threads";
-      EXPECT_EQ(parallel.theta_upper_tests, sequential.theta_upper_tests)
-          << entry.label << " @ " << width << " threads";
-      EXPECT_EQ(parallel.qual_pairs_examined, sequential.qual_pairs_examined)
-          << entry.label << " @ " << width << " threads";
-    }
+std::unique_ptr<exec::ThreadPool> PoolOfWidth(int width) {
+  return width == 0 ? nullptr : std::make_unique<exec::ThreadPool>(width);
+}
+
+std::string Where(const std::string& label, const ThetaOperator& op,
+                  int width) {
+  return label + " / " + op.name() + " @ " +
+         (width == 0 ? std::string("no pool")
+                     : std::to_string(width) + " threads");
+}
+
+// Equal trace level counts: the generic and flat kernels must agree on
+// every per-height quantity the cost model compares against.
+void ExpectSameLevels(const QueryTrace& got, const QueryTrace& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.levels().size(), want.levels().size()) << where;
+  for (size_t i = 0; i < want.levels().size(); ++i) {
+    const TraceLevel& g = got.levels()[i];
+    const TraceLevel& w = want.levels()[i];
+    EXPECT_EQ(g.height, w.height) << where << " level " << i;
+    EXPECT_EQ(g.worklist, w.worklist) << where << " level " << i;
+    EXPECT_EQ(g.theta_upper_tests, w.theta_upper_tests)
+        << where << " level " << i;
+    EXPECT_EQ(g.theta_tests, w.theta_tests) << where << " level " << i;
+    EXPECT_EQ(g.pruned, w.pruned) << where << " level " << i;
+    EXPECT_EQ(g.descended, w.descended) << where << " level " << i;
   }
 }
+
+// The flat kernel over snapshots of `r_src` and `s_src`, without a pool
+// and at every width, against the generic TreeJoin on the sources
+// themselves: the same matches in the same order, the same four
+// counters, the same trace level counts — and a CountingTheta whose
+// counts equal the counters. Returns the pool tasks the widest runs
+// executed, so callers can insist the chunked path ran.
+int64_t ExpectFlatJoinIsExact(const GeneralizationTree& r_src,
+                              const GeneralizationTree& s_src,
+                              const std::string& label) {
+  const exec::FrozenTree r_frozen = exec::FrozenTree::Materialize(r_src);
+  const exec::FrozenTree s_frozen = exec::FrozenTree::Materialize(s_src);
+  int64_t tasks = 0;
+  for (const NamedOp& entry : Table1Operators()) {
+    QueryTrace generic_trace("join");
+    const JoinResult generic = TreeJoin(r_src, s_src, *entry.op,
+                                        Traversal::kBreadthFirst,
+                                        &generic_trace);
+    for (int width : kPoolWidths) {
+      const std::string where = Where(label, *entry.op, width);
+      std::unique_ptr<exec::ThreadPool> workers = PoolOfWidth(width);
+      CountingTheta counting(entry.op.get());
+      QueryTrace flat_trace("join");
+      const JoinResult flat = exec::ParallelTreeJoin(
+          r_frozen, s_frozen, counting, workers.get(), nullptr, &flat_trace);
+      EXPECT_EQ(flat.matches, generic.matches) << where;
+      EXPECT_EQ(flat.theta_upper_tests, generic.theta_upper_tests) << where;
+      EXPECT_EQ(flat.theta_tests, generic.theta_tests) << where;
+      EXPECT_EQ(flat.nodes_accessed, generic.nodes_accessed) << where;
+      EXPECT_EQ(flat.qual_pairs_examined, generic.qual_pairs_examined)
+          << where;
+      EXPECT_EQ(counting.theta_upper_count(), flat.theta_upper_tests)
+          << where;
+      EXPECT_EQ(counting.theta_count(), flat.theta_tests) << where;
+      ExpectSameLevels(flat_trace, generic_trace, where);
+      if (workers != nullptr && width == 8) {
+        tasks += workers->stats().tasks_executed;
+      }
+    }
+    // TreeJoin itself takes the flat kernel for FrozenTree inputs.
+    const JoinResult dispatched = TreeJoin(r_frozen, s_frozen, *entry.op);
+    EXPECT_EQ(dispatched.matches, generic.matches) << label;
+    EXPECT_EQ(dispatched.theta_upper_tests, generic.theta_upper_tests)
+        << label;
+  }
+  return tasks;
+}
+
+// The same contract for Algorithm SELECT: every Table 1 operator over
+// `selectors`, flat (no pool and every width) against the generic
+// SpatialSelect on the source. Node ids differ between a source and its
+// snapshot, so matching_nodes is compared against the generic traversal
+// of the snapshot (SpatialSelectFrom never dispatches). Returns the pool
+// tasks the widest runs executed.
+int64_t ExpectFlatSelectIsExact(const GeneralizationTree& src,
+                                const std::vector<Value>& selectors,
+                                const std::string& label) {
+  const exec::FrozenTree frozen = exec::FrozenTree::Materialize(src);
+  int64_t tasks = 0;
+  for (const NamedOp& entry : Table1Operators()) {
+    for (const Value& selector : selectors) {
+      QueryTrace generic_trace("select");
+      const SelectResult generic =
+          SpatialSelect(selector, src, *entry.op, Traversal::kBreadthFirst,
+                        &generic_trace);
+      const SelectResult generic_frozen = SpatialSelectFrom(
+          selector, frozen, {frozen.root()}, *entry.op);
+      for (int width : kPoolWidths) {
+        const std::string where = Where(label, *entry.op, width);
+        std::unique_ptr<exec::ThreadPool> workers = PoolOfWidth(width);
+        CountingTheta counting(entry.op.get());
+        QueryTrace flat_trace("select");
+        const SelectResult flat = exec::ParallelSelect(
+            selector, frozen, counting, workers.get(), nullptr, &flat_trace);
+        EXPECT_EQ(flat.matching_tuples, generic.matching_tuples) << where;
+        EXPECT_EQ(flat.matching_nodes, generic_frozen.matching_nodes)
+            << where;
+        EXPECT_EQ(flat.theta_upper_tests, generic.theta_upper_tests) << where;
+        EXPECT_EQ(flat.theta_tests, generic.theta_tests) << where;
+        EXPECT_EQ(flat.nodes_accessed, generic.nodes_accessed) << where;
+        EXPECT_EQ(counting.theta_upper_count(), flat.theta_upper_tests)
+            << where;
+        EXPECT_EQ(counting.theta_count(), flat.theta_tests) << where;
+        if (width == 0) ExpectSameLevels(flat_trace, generic_trace, where);
+        if (workers != nullptr && width == 8) {
+          tasks += workers->stats().tasks_executed;
+        }
+      }
+      // SpatialSelect itself takes the flat kernel for a FrozenTree.
+      const SelectResult dispatched =
+          SpatialSelect(selector, frozen, *entry.op);
+      EXPECT_EQ(dispatched.matching_nodes, generic_frozen.matching_nodes)
+          << label;
+    }
+  }
+  return tasks;
+}
+
+TEST_F(ParallelExecTest, ParallelTreeJoinIsByteIdenticalToSequential) {
+  // Rectangles: the disk-backed R-tree fixture.
+  ExpectFlatJoinIsExact(*r_adapter_, *s_adapter_, "rectangles");
+
+  // Polygons, numerous enough that the deep levels exceed one chunk: the
+  // pooled runs must really have fanned out.
+  RTreeSide r_poly = PolygonSide(&pool_, world_, 41, 400);
+  RTreeSide s_poly = PolygonSide(&pool_, world_, 42, 400);
+  EXPECT_GT(ExpectFlatJoinIsExact(*r_poly.adapter, *s_poly.adapter,
+                                  "polygons"),
+            0);
+
+  // Application hierarchies: application interior nodes, unequal
+  // heights, and a chunked level that is not the last.
+  auto r_hier = RandomHierarchy(world_, 5);
+  auto s_hier = RandomHierarchy(world_, 6);
+  ASSERT_TRUE(r_hier->ValidateContainment());
+  ASSERT_TRUE(s_hier->ValidateContainment());
+  QueryTrace shape("join");
+  TreeJoin(*r_hier, *s_hier, OverlapsOp(), Traversal::kBreadthFirst, &shape);
+  ASSERT_EQ(shape.levels().size(), 5u);
+  EXPECT_GT(shape.levels()[3].worklist, 4096);
+  EXPECT_GT(ExpectFlatJoinIsExact(*r_hier, *s_hier, "hierarchies"), 0);
+  ExpectFlatJoinIsExact(*r_hier, *s_adapter_, "hierarchy x rectangles");
+
+  // One-node trees, on either side and on both.
+  auto one = OneNodeTree(Rectangle(100, 100, 300, 300));
+  ExpectFlatJoinIsExact(*one, *s_adapter_, "one-node x rectangles");
+  ExpectFlatJoinIsExact(*r_adapter_, *one, "rectangles x one-node");
+  ExpectFlatJoinIsExact(*one, *one, "one-node x one-node");
+}
+
 
 TEST_F(ParallelExecTest, PartitionedJoinMatchesSequentialResultSet) {
   std::vector<exec::JoinItem> r_items = exec::CollectJoinItems(*r_, 1);
@@ -138,27 +381,20 @@ TEST_F(ParallelExecTest, PartitionedJoinMatchesSequentialResultSet) {
 }
 
 TEST_F(ParallelExecTest, ParallelSelectMatchesSequentialSelect) {
-  exec::FrozenTree s_frozen = exec::FrozenTree::Materialize(*s_adapter_);
   RectGenerator gen(world_, 99);
-  OverlapsOp overlaps;
-  WithinDistanceOp within(15.0);
-  for (const ThetaOperator* op :
-       {static_cast<const ThetaOperator*>(&overlaps),
-        static_cast<const ThetaOperator*>(&within)}) {
-    for (int q = 0; q < 5; ++q) {
-      Value selector(gen.NextRect(20, 80));
-      SelectResult sequential = SpatialSelect(selector, s_frozen, *op);
-      for (int width : kThreadWidths) {
-        exec::ThreadPool workers(width);
-        SelectResult parallel =
-            exec::ParallelSelect(selector, s_frozen, *op, &workers);
-        EXPECT_EQ(parallel.matching_nodes, sequential.matching_nodes);
-        EXPECT_EQ(parallel.matching_tuples, sequential.matching_tuples);
-        EXPECT_EQ(parallel.theta_tests, sequential.theta_tests);
-        EXPECT_EQ(parallel.theta_upper_tests, sequential.theta_upper_tests);
-      }
-    }
-  }
+  std::vector<Value> selectors;
+  for (int q = 0; q < 5; ++q) selectors.emplace_back(gen.NextRect(20, 80));
+  selectors.emplace_back(Rectangle());  // the empty selector MBR
+  ExpectFlatSelectIsExact(*s_adapter_, selectors, "rectangles");
+
+  auto hierarchy = RandomHierarchy(world_, 8);
+  ExpectFlatSelectIsExact(*hierarchy, selectors, "hierarchy");
+  ExpectFlatSelectIsExact(*OneNodeTree(Rectangle(100, 100, 300, 300)),
+                          selectors, "one-node");
+
+  // Frontiers of 6000 nodes are cut into pool chunks.
+  auto wide = WideHierarchy(world_);
+  EXPECT_GT(ExpectFlatSelectIsExact(*wide, {Value(world_)}, "wide"), 0);
 }
 
 TEST_F(ParallelExecTest, DispatcherRunsParallelStrategies) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -197,6 +198,77 @@ TEST(CountingThetaTest, CountsBothLevels) {
   EXPECT_EQ(counting.total_count(), 3);
   counting.Reset();
   EXPECT_EQ(counting.total_count(), 0);
+}
+
+// ThetaUpperBatch must give exactly the scalar ThetaUpper answers: for
+// every Table 1 operator (the overlap family shares a branch-free
+// override, the others keep the per-element default) and for
+// CountingTheta, in both operand orders, over random, touching,
+// zero-width, unbounded and empty rectangles. The planes have no empty
+// flag, so the empty rectangle's encoding is what is under test there.
+TEST(ThetaUpperBatchTest, EqualsScalarThetaUpper) {
+  std::vector<std::unique_ptr<ThetaOperator>> ops;
+  ops.push_back(std::make_unique<WithinDistanceOp>(15.0));
+  ops.push_back(std::make_unique<OverlapsOp>());
+  ops.push_back(std::make_unique<IncludesOp>());
+  ops.push_back(std::make_unique<ContainedInOp>());
+  ops.push_back(std::make_unique<NorthwestOfOp>());
+  ops.push_back(std::make_unique<ReachableWithinOp>(5.0, 2.0));
+  ops.push_back(std::make_unique<AdjacentOp>());
+  OverlapsOp counted_overlaps;
+  WithinDistanceOp counted_within(15.0);
+  ops.push_back(std::make_unique<CountingTheta>(&counted_overlaps));
+  ops.push_back(std::make_unique<CountingTheta>(&counted_within));
+
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Rectangle> rects = {
+      Rectangle(40, 40, 60, 60),    // the base the next ones touch
+      Rectangle(60, 45, 70, 55),    // shares the base's right edge
+      Rectangle(60, 60, 70, 70),    // shares only its top-right corner
+      Rectangle(20, 60, 40, 80),    // shares only its top-left corner
+      Rectangle(50, 0, 50, 100),    // zero width, crossing the base
+      Rectangle(30, 60, 70, 60),    // zero height, on the base's top edge
+      Rectangle(60, 60, 60, 60),    // a point on the base's corner
+      Rectangle(61, 61, 61, 61),    // a point just outside it
+      Rectangle(-inf, -inf, inf, inf),
+      Rectangle(),                  // empty
+      Rectangle::Empty(),
+  };
+  RectGenerator gen(Rectangle(0, 0, 100, 100), 77);
+  for (int i = 0; i < 150; ++i) rects.push_back(gen.NextRect(0.5, 30));
+  MbrPlaneBuffer buffer;
+  for (const Rectangle& r : rects) buffer.AppendMbr(r);
+  const int64_t n = static_cast<int64_t>(rects.size());
+
+  for (const auto& op : ops) {
+    for (const Rectangle& probe : rects) {
+      for (bool probe_is_left : {true, false}) {
+        // The whole run, and a run that starts mid-planes.
+        for (int64_t first : {int64_t{0}, int64_t{5}}) {
+          std::vector<uint8_t> out(static_cast<size_t>(n - first), 7);
+          op->ThetaUpperBatch(probe, probe_is_left,
+                              buffer.view().SubPlanes(first), n - first,
+                              out.data());
+          for (int64_t i = first; i < n; ++i) {
+            const Rectangle& other = rects[static_cast<size_t>(i)];
+            const bool want = probe_is_left ? op->ThetaUpper(probe, other)
+                                            : op->ThetaUpper(other, probe);
+            ASSERT_EQ(out[static_cast<size_t>(i - first)],
+                      want ? uint8_t{1} : uint8_t{0})
+                << op->name() << (probe_is_left ? " left " : " right ")
+                << probe.ToString() << " vs " << other.ToString();
+          }
+        }
+      }
+    }
+  }
+
+  // The decorator counts a batch once per element.
+  CountingTheta counting(&counted_overlaps);
+  std::vector<uint8_t> out(static_cast<size_t>(n));
+  counting.ThetaUpperBatch(rects[0], true, buffer.view(), n, out.data());
+  EXPECT_EQ(counting.theta_upper_count(), n);
+  EXPECT_EQ(counting.theta_count(), 0);
 }
 
 // The defining Table-1 property: θ(a, b) on the objects implies Θ on any

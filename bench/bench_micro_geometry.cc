@@ -2,6 +2,7 @@
 // per-C_θ building blocks of every strategy), via google-benchmark.
 #include <benchmark/benchmark.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/theta_ops.h"
@@ -57,22 +58,55 @@ void BM_PointInPolygon(benchmark::State& state) {
 }
 BENCHMARK(BM_PointInPolygon)->Arg(8)->Arg(32)->Arg(128);
 
-void BM_PolygonIntersects(benchmark::State& state) {
-  int vertices = static_cast<int>(state.range(0));
+// Pairs of star polygons drawn until `count` of them have overlapping
+// MBRs, so the timing is the refine, not the bounding-box reject.
+std::vector<std::pair<Polygon, Polygon>> MbrOverlappingPolygons(
+    int count, int vertices) {
   RectGenerator gen(Rectangle(0, 0, 1000, 1000), 13);
-  std::vector<Polygon> polys;
-  for (int i = 0; i < 128; ++i) {
-    polys.push_back(gen.NextPolygon(10, 80, vertices));
+  std::vector<std::pair<Polygon, Polygon>> pairs;
+  while (static_cast<int>(pairs.size()) < count) {
+    Polygon a = gen.NextPolygon(10, 80, vertices);
+    Polygon b = gen.NextPolygon(10, 80, vertices);
+    if (a.BoundingBox().Overlaps(b.BoundingBox())) {
+      pairs.emplace_back(std::move(a), std::move(b));
+    }
   }
+  return pairs;
+}
+
+void BM_PolygonIntersects(benchmark::State& state) {
+  const auto pairs =
+      MbrOverlappingPolygons(128, static_cast<int>(state.range(0)));
   size_t i = 0;
   for (auto _ : state) {
-    const Polygon& a = polys[i % polys.size()];
-    const Polygon& b = polys[(i * 5 + 1) % polys.size()];
+    const auto& [a, b] = pairs[i % pairs.size()];
     benchmark::DoNotOptimize(a.Intersects(b));
     ++i;
   }
 }
-BENCHMARK(BM_PolygonIntersects)->Arg(8)->Arg(32);
+BENCHMARK(BM_PolygonIntersects)->Arg(8)->Arg(16)->Arg(32);
+
+// θ of `overlaps` on the operand mix a polygon R-tree join refines:
+// (entry MBR, polygon) and (polygon, entry MBR) from the passes that pair
+// an interior entry with a leaf polygon, and (polygon, polygon) at the
+// leaves. Every pair has overlapping MBRs, as Θ guarantees.
+void BM_ThetaOverlaps(benchmark::State& state) {
+  const OverlapsOp op;
+  std::vector<std::pair<Value, Value>> pairs;
+  for (const auto& [a, b] : MbrOverlappingPolygons(128, 16)) {
+    // A node-sized entry box around each polygon.
+    pairs.emplace_back(Value(a.BoundingBox().Expanded(20)), Value(b));
+    pairs.emplace_back(Value(a), Value(b.BoundingBox().Expanded(20)));
+    pairs.emplace_back(Value(a), Value(b));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [a, b] = pairs[i % pairs.size()];
+    benchmark::DoNotOptimize(op.Theta(a, b));
+    ++i;
+  }
+}
+BENCHMARK(BM_ThetaOverlaps);
 
 void BM_ThetaWithinDistance(benchmark::State& state) {
   WithinDistanceOp op(25.0);

@@ -14,24 +14,11 @@
 #include "geometry/polygon.h"
 #include "geometry/polyline.h"
 #include "geometry/predicates.h"
+#include "geometry/ring.h"
 
 namespace spatialjoin {
 
 namespace {
-
-// Converts any spatial value to a polygon for mixed-type geometry tests.
-// Points become tiny degenerate handling via dedicated branches instead.
-Polygon AsPolygon(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kRectangle:
-      return Polygon::FromRectangle(v.AsRectangle());
-    case ValueType::kPolygon:
-      return v.AsPolygon();
-    default:
-      SJ_CHECK_MSG(false, "AsPolygon on " << v.ToString());
-  }
-  return Polygon();
-}
 
 bool IsPoint(const Value& v) { return v.type() == ValueType::kPoint; }
 
@@ -39,32 +26,67 @@ bool IsPolyline(const Value& v) {
   return v.type() == ValueType::kPolyline;
 }
 
-// True iff `p` lies on the boundary ring of `poly`.
-bool PointOnAnyEdge(const Polygon& poly, const Point& p) {
-  const auto& ring = poly.ring();
-  for (size_t i = 0; i < ring.size(); ++i) {
-    if (PointOnSegment(p, ring[i], ring[(i + 1) % ring.size()])) {
+// The boundary of an areal value (rectangle or polygon) as a ring view: a
+// polygon lends its own ring, a rectangle's corners are held here. Not
+// copyable, since the view may point into this object.
+class ArealRing {
+ public:
+  explicit ArealRing(const Value& v) {
+    if (const Polygon* polygon = v.TryPolygon()) {
+      view_ = polygon->ring_view();
+      return;
+    }
+    const Rectangle* rect = v.TryRectangle();
+    SJ_CHECK(rect != nullptr);
+    view_ = RectangleRing(*rect, corners_);
+  }
+  ArealRing(const ArealRing&) = delete;
+  ArealRing& operator=(const ArealRing&) = delete;
+
+  const RingView& view() const { return view_; }
+
+ private:
+  Point corners_[4];
+  RingView view_;
+};
+
+// θ of `overlaps` on two areal values. Rectangle pairs are decided by
+// closed overlap; any pair involving a polygon by the pruned ring test on
+// borrowed views, so no geometry is copied.
+SJ_HOT bool ArealsOverlap(const Value& a, const Value& b) {
+  const Rectangle* rect_a = a.TryRectangle();
+  const Rectangle* rect_b = b.TryRectangle();
+  if (rect_a != nullptr && rect_b != nullptr) return rect_a->Overlaps(*rect_b);
+  const ArealRing ring_a(a);
+  const ArealRing ring_b(b);
+  return RingsIntersect(ring_a.view(), ring_b.view());
+}
+
+// True iff `p` lies on the boundary of `ring`.
+bool PointOnAnyEdge(const RingView& ring, const Point& p) {
+  for (size_t i = 0; i < ring.size; ++i) {
+    if (PointOnSegment(p, ring.points[i],
+                       ring.points[(i + 1) % ring.size])) {
       return true;
     }
   }
   return false;
 }
 
-// Minimum distance between a polyline and an areal value (rectangle or
-// polygon): 0 when a vertex is inside or an edge crosses the boundary,
-// otherwise the closest edge pair.
-double PolylineArealDistance(const Polyline& line, const Polygon& area) {
+// Minimum distance between a polyline and an areal value's ring: 0 when
+// a vertex is inside or an edge crosses the boundary, otherwise the
+// closest edge pair.
+double PolylineArealDistance(const Polyline& line, const RingView& area) {
   for (const Point& p : line.vertices()) {
-    if (area.ContainsPoint(p)) return 0.0;
+    if (RingContainsPoint(area, p)) return 0.0;
   }
   double best = std::numeric_limits<double>::infinity();
   const auto& vs = line.vertices();
-  const auto& ring = area.ring();
   for (size_t i = 0; i + 1 < vs.size(); ++i) {
-    for (size_t j = 0; j < ring.size(); ++j) {
-      best = std::min(best,
-                      DistanceSegmentSegment(vs[i], vs[i + 1], ring[j],
-                                             ring[(j + 1) % ring.size()]));
+    for (size_t j = 0; j < area.size; ++j) {
+      best = std::min(best, DistanceSegmentSegment(
+                                vs[i], vs[i + 1], area.points[j],
+                                area.points[(j + 1) % area.size]));
       if (best == 0.0) return 0.0;
     }
   }
@@ -95,7 +117,7 @@ double MinDistanceBetween(const Value& a, const Value& b) {
     const Polyline& line = a.AsPolyline();
     if (IsPoint(b)) return line.DistanceToPoint(b.AsPoint());
     if (IsPolyline(b)) return line.DistanceToPolyline(b.AsPolyline());
-    return PolylineArealDistance(line, AsPolygon(b));
+    return PolylineArealDistance(line, ArealRing(b).view());
   }
   if (IsPolyline(b)) return MinDistanceBetween(b, a);
   if (IsPoint(a) && IsPoint(b)) return Distance(a.AsPoint(), b.AsPoint());
@@ -110,26 +132,26 @@ double MinDistanceBetween(const Value& a, const Value& b) {
       b.type() == ValueType::kRectangle) {
     return a.AsRectangle().MinDistance(b.AsRectangle());
   }
-  return AsPolygon(a).DistanceToPolygon(AsPolygon(b));
+  return RingDistance(ArealRing(a).view(), ArealRing(b).view());
 }
 
 bool GeometriesOverlap(const Value& a, const Value& b) {
-  if (IsPolyline(a) || IsPolyline(b)) {
+  const ValueType type_a = a.type();
+  const ValueType type_b = b.type();
+  if (type_a == ValueType::kPolyline || type_b == ValueType::kPolyline) {
     return MinDistanceBetween(a, b) == 0.0;
   }
-  if (IsPoint(a) && IsPoint(b)) return a.AsPoint() == b.AsPoint();
-  if (IsPoint(a)) {
-    if (b.type() == ValueType::kRectangle) {
+  if (type_a == ValueType::kPoint && type_b == ValueType::kPoint) {
+    return a.AsPoint() == b.AsPoint();
+  }
+  if (type_a == ValueType::kPoint) {
+    if (type_b == ValueType::kRectangle) {
       return b.AsRectangle().ContainsPoint(a.AsPoint());
     }
     return b.AsPolygon().ContainsPoint(a.AsPoint());
   }
-  if (IsPoint(b)) return GeometriesOverlap(b, a);
-  if (a.type() == ValueType::kRectangle &&
-      b.type() == ValueType::kRectangle) {
-    return a.AsRectangle().Overlaps(b.AsRectangle());
-  }
-  return AsPolygon(a).Intersects(AsPolygon(b));
+  if (type_b == ValueType::kPoint) return GeometriesOverlap(b, a);
+  return ArealsOverlap(a, b);
 }
 
 bool GeometryContains(const Value& a, const Value& b) {
@@ -145,26 +167,21 @@ bool GeometryContains(const Value& a, const Value& b) {
     // An areal value contains a curve iff it contains every vertex and
     // no edge escapes (convexity not assumed: check edge crossings too).
     const Polyline& line = b.AsPolyline();
-    Polygon area = AsPolygon(a);
+    const ArealRing area(a);
+    const RingView& ring = area.view();
     for (const Point& p : line.vertices()) {
-      if (!area.ContainsPoint(p)) return false;
+      if (!RingContainsPoint(ring, p)) return false;
     }
     // Vertices inside + distance-0 boundary contact is still inside for
     // closed regions; a proper escape requires a vertex outside, which
     // simple (convex or monotone) areas guarantee. For concave areas we
     // additionally reject edges that properly cross the boundary.
     const auto& vs = line.vertices();
-    const auto& ring = area.ring();
     for (size_t i = 0; i + 1 < vs.size(); ++i) {
-      for (size_t j = 0; j < ring.size(); ++j) {
-        const Point& r1 = ring[j];
-        const Point& r2 = ring[(j + 1) % ring.size()];
-        int o1 = Orientation(r1, r2, vs[i]);
-        int o2 = Orientation(r1, r2, vs[i + 1]);
-        int o3 = Orientation(vs[i], vs[i + 1], r1);
-        int o4 = Orientation(vs[i], vs[i + 1], r2);
-        if (o1 != o2 && o3 != o4 && o1 != 0 && o2 != 0 && o3 != 0 &&
-            o4 != 0) {
+      for (size_t j = 0; j < ring.size; ++j) {
+        if (SegmentsCrossProperly(ring.points[j],
+                                  ring.points[(j + 1) % ring.size], vs[i],
+                                  vs[i + 1])) {
           return false;
         }
       }
@@ -181,7 +198,7 @@ bool GeometryContains(const Value& a, const Value& b) {
   }
   // a is a polygon.
   if (IsPoint(b)) return a.AsPolygon().ContainsPoint(b.AsPoint());
-  return a.AsPolygon().ContainsPolygon(AsPolygon(b));
+  return RingContainsRing(a.AsPolygon().ring_view(), ArealRing(b).view());
 }
 
 // --------------------------------------------------------------------------
@@ -353,26 +370,24 @@ bool AdjacentOp::Theta(const Value& a, const Value& b) const {
   }
   // Polygon-involved: interiors are shared iff a vertex of one lies
   // strictly inside the other, or their boundaries properly cross.
-  const Polygon pa = AsPolygon(a);
-  const Polygon pb = AsPolygon(b);
-  for (const Point& v : pb.ring()) {
-    if (pa.ContainsPoint(v) && !PointOnAnyEdge(pa, v)) return false;
+  const ArealRing area_a(a);
+  const ArealRing area_b(b);
+  const RingView& ra = area_a.view();
+  const RingView& rb = area_b.view();
+  for (size_t j = 0; j < rb.size; ++j) {
+    const Point& v = rb.points[j];
+    if (RingContainsPoint(ra, v) && !PointOnAnyEdge(ra, v)) return false;
   }
-  for (const Point& v : pa.ring()) {
-    if (pb.ContainsPoint(v) && !PointOnAnyEdge(pb, v)) return false;
+  for (size_t i = 0; i < ra.size; ++i) {
+    const Point& v = ra.points[i];
+    if (RingContainsPoint(rb, v) && !PointOnAnyEdge(rb, v)) return false;
   }
-  const auto& ra = pa.ring();
-  const auto& rb = pb.ring();
-  for (size_t i = 0; i < ra.size(); ++i) {
-    for (size_t j = 0; j < rb.size(); ++j) {
-      int o1 = Orientation(ra[i], ra[(i + 1) % ra.size()], rb[j]);
-      int o2 = Orientation(ra[i], ra[(i + 1) % ra.size()],
-                           rb[(j + 1) % rb.size()]);
-      int o3 = Orientation(rb[j], rb[(j + 1) % rb.size()], ra[i]);
-      int o4 = Orientation(rb[j], rb[(j + 1) % rb.size()],
-                           ra[(i + 1) % ra.size()]);
-      if (o1 != o2 && o3 != o4 && o1 != 0 && o2 != 0 && o3 != 0 &&
-          o4 != 0) {
+  for (size_t i = 0; i < ra.size; ++i) {
+    const Point& a1 = ra.points[i];
+    const Point& a2 = ra.points[(i + 1) % ra.size];
+    for (size_t j = 0; j < rb.size; ++j) {
+      if (SegmentsCrossProperly(a1, a2, rb.points[j],
+                                rb.points[(j + 1) % rb.size])) {
         return false;  // proper boundary crossing => shared interior
       }
     }

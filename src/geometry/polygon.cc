@@ -8,7 +8,6 @@
 #include "common/analysis_annotations.h"
 #include "common/check.h"
 #include "geometry/distance.h"
-#include "geometry/predicates.h"
 
 namespace spatialjoin {
 
@@ -22,11 +21,9 @@ Polygon::Polygon(std::vector<Point> ring) : ring_(std::move(ring)) {
 }
 
 Polygon Polygon::FromRectangle(const Rectangle& r) {
-  SJ_CHECK(!r.is_empty());
-  return Polygon({{r.min_x(), r.min_y()},
-                  {r.max_x(), r.min_y()},
-                  {r.max_x(), r.max_y()},
-                  {r.min_x(), r.max_y()}});
+  Point corners[4];
+  const RingView ring = RectangleRing(r, corners);
+  return Polygon(std::vector<Point>(ring.points, ring.points + ring.size));
 }
 
 Polygon Polygon::RegularNGon(const Point& center, double radius,
@@ -80,69 +77,15 @@ Point Polygon::Centroid() const {
 }
 
 bool Polygon::ContainsPoint(const Point& p) const {
-  if (ring_.empty() || !bbox_.ContainsPoint(p)) return false;
-  // Boundary counts as inside.
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    const Point& a = ring_[i];
-    const Point& b = ring_[(i + 1) % ring_.size()];
-    if (PointOnSegment(p, a, b)) return true;
-  }
-  // Ray casting towards +x, with the usual half-open edge rule to count
-  // vertex crossings exactly once.
-  bool inside = false;
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    const Point& a = ring_[i];
-    const Point& b = ring_[(i + 1) % ring_.size()];
-    bool crosses = (a.y > p.y) != (b.y > p.y);
-    if (!crosses) continue;
-    double x_at_y = a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x);
-    if (x_at_y > p.x) inside = !inside;
-  }
-  return inside;
+  return RingContainsPoint(ring_view(), p);
 }
 
 bool Polygon::Intersects(const Polygon& o) const {
-  if (ring_.empty() || o.ring_.empty()) return false;
-  if (!bbox_.Overlaps(o.bbox_)) return false;
-  // Any pair of boundary edges crossing?
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    const Point& a1 = ring_[i];
-    const Point& a2 = ring_[(i + 1) % ring_.size()];
-    for (size_t j = 0; j < o.ring_.size(); ++j) {
-      const Point& b1 = o.ring_[j];
-      const Point& b2 = o.ring_[(j + 1) % o.ring_.size()];
-      if (SegmentsIntersect(a1, a2, b1, b2)) return true;
-    }
-  }
-  // Otherwise one polygon may contain the other entirely.
-  return ContainsPoint(o.ring_[0]) || o.ContainsPoint(ring_[0]);
+  return RingsIntersect(ring_view(), o.ring_view());
 }
 
 bool Polygon::ContainsPolygon(const Polygon& o) const {
-  if (ring_.empty() || o.ring_.empty()) return false;
-  if (!bbox_.Contains(o.bbox_)) return false;
-  // All vertices of o inside, and no boundary crossing that would take a
-  // part of o outside.
-  for (const Point& p : o.ring_) {
-    if (!ContainsPoint(p)) return false;
-  }
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    const Point& a1 = ring_[i];
-    const Point& a2 = ring_[(i + 1) % ring_.size()];
-    for (size_t j = 0; j < o.ring_.size(); ++j) {
-      const Point& b1 = o.ring_[j];
-      const Point& b2 = o.ring_[(j + 1) % o.ring_.size()];
-      // Touching is permitted (closed containment); proper crossings are not.
-      int o1 = Orientation(a1, a2, b1);
-      int o2 = Orientation(a1, a2, b2);
-      int o3 = Orientation(b1, b2, a1);
-      int o4 = Orientation(b1, b2, a2);
-      if (o1 != o2 && o3 != o4 && o1 != 0 && o2 != 0 && o3 != 0 && o4 != 0) {
-        return false;
-      }
-    }
-  }
-  return true;
+  return RingContainsRing(ring_view(), o.ring_view());
 }
 
 double Polygon::DistanceToPoint(const Point& p) const {
@@ -158,20 +101,7 @@ double Polygon::DistanceToPoint(const Point& p) const {
 }
 
 double Polygon::DistanceToPolygon(const Polygon& o) const {
-  SJ_CHECK(!ring_.empty());
-  SJ_CHECK(!o.ring_.empty());
-  if (Intersects(o)) return 0.0;
-  double best = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    const Point& a1 = ring_[i];
-    const Point& a2 = ring_[(i + 1) % ring_.size()];
-    for (size_t j = 0; j < o.ring_.size(); ++j) {
-      const Point& b1 = o.ring_[j];
-      const Point& b2 = o.ring_[(j + 1) % o.ring_.size()];
-      best = std::min(best, DistanceSegmentSegment(a1, a2, b1, b2));
-    }
-  }
-  return best;
+  return RingDistance(ring_view(), o.ring_view());
 }
 
 void Polygon::Reverse() { std::reverse(ring_.begin(), ring_.end()); }

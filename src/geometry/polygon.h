@@ -6,6 +6,7 @@
 
 #include "geometry/point.h"
 #include "geometry/rectangle.h"
+#include "geometry/ring.h"
 
 namespace spatialjoin {
 
@@ -44,6 +45,12 @@ class Polygon {
 
   /// Minimum bounding rectangle.
   const Rectangle& BoundingBox() const { return bbox_; }
+
+  /// The boundary ring as a borrowed view (valid while this polygon
+  /// lives and is not modified).
+  RingView ring_view() const {
+    return RingView{ring_.data(), ring_.size(), bbox_};
+  }
 
   /// Point-in-polygon by ray casting; boundary points count as inside.
   bool ContainsPoint(const Point& p) const;

@@ -1,40 +1,6 @@
 #include "geometry/predicates.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace spatialjoin {
-
-int Orientation(const Point& a, const Point& b, const Point& c, double eps) {
-  double cross = (b - a).Cross(c - a);
-  if (cross > eps) return 1;
-  if (cross < -eps) return -1;
-  return 0;
-}
-
-bool PointOnSegment(const Point& p, const Point& a, const Point& b,
-                    double eps) {
-  if (Orientation(a, b, p, eps) != 0) return false;
-  return p.x >= std::min(a.x, b.x) - eps && p.x <= std::max(a.x, b.x) + eps &&
-         p.y >= std::min(a.y, b.y) - eps && p.y <= std::max(a.y, b.y) + eps;
-}
-
-bool SegmentsIntersect(const Point& a1, const Point& a2, const Point& b1,
-                       const Point& b2) {
-  int o1 = Orientation(a1, a2, b1);
-  int o2 = Orientation(a1, a2, b2);
-  int o3 = Orientation(b1, b2, a1);
-  int o4 = Orientation(b1, b2, a2);
-
-  if (o1 != o2 && o3 != o4) return true;  // proper intersection
-
-  // Collinear / touching cases.
-  if (o1 == 0 && PointOnSegment(b1, a1, a2)) return true;
-  if (o2 == 0 && PointOnSegment(b2, a1, a2)) return true;
-  if (o3 == 0 && PointOnSegment(a1, b1, b2)) return true;
-  if (o4 == 0 && PointOnSegment(a2, b1, b2)) return true;
-  return false;
-}
 
 bool NorthwestOf(const Point& a, const Point& b) {
   return a.x < b.x && a.y > b.y;

@@ -63,10 +63,6 @@ const char* ValueTypeName(ValueType type) {
   return "UNKNOWN";
 }
 
-ValueType Value::type() const {
-  return static_cast<ValueType>(data_.index());
-}
-
 int64_t Value::AsInt64() const {
   SJ_CHECK_MSG(type() == ValueType::kInt64, "value is " << ToString());
   return std::get<int64_t>(data_);

@@ -45,7 +45,7 @@ class Value {
   explicit Value(Polygon v) : data_(std::move(v)) {}
   explicit Value(Polyline v) : data_(std::move(v)) {}
 
-  ValueType type() const;
+  ValueType type() const { return static_cast<ValueType>(data_.index()); }
   bool is_null() const { return type() == ValueType::kNull; }
 
   /// Typed accessors; calling the wrong accessor is a checked error.
@@ -56,6 +56,13 @@ class Value {
   const Rectangle& AsRectangle() const;
   const Polygon& AsPolygon() const;
   const Polyline& AsPolyline() const;
+
+  /// The rectangle or polygon held, or nullptr for any other type:
+  /// unchecked lookups for callers that branch on the type anyway.
+  const Rectangle* TryRectangle() const {
+    return std::get_if<Rectangle>(&data_);
+  }
+  const Polygon* TryPolygon() const { return std::get_if<Polygon>(&data_); }
 
   /// MBR of a spatial value (point → degenerate rectangle, polygon → its
   /// bounding box). Checked error for scalar values.

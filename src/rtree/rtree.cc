@@ -43,6 +43,27 @@ T LoadPod(const Page& page, size_t* pos) {
   return v;
 }
 
+RTree::NodeHeader LoadHeader(const Page& page) {
+  size_t pos = 0;
+  RTree::NodeHeader header;
+  header.is_leaf = LoadPod<uint8_t>(page, &pos) != 0;
+  header.level = LoadPod<uint8_t>(page, &pos);
+  header.count = LoadPod<uint16_t>(page, &pos);
+  return header;
+}
+
+// Decodes entry `slot` of a node page.
+void LoadEntry(const Page& page, size_t slot, Rectangle* mbr,
+               int64_t* payload) {
+  size_t pos = kNodeHeaderSize + slot * kEntrySize;
+  const double min_x = LoadPod<double>(page, &pos);
+  const double min_y = LoadPod<double>(page, &pos);
+  const double max_x = LoadPod<double>(page, &pos);
+  const double max_y = LoadPod<double>(page, &pos);
+  *mbr = Rectangle(min_x, min_y, max_x, max_y);
+  *payload = LoadPod<int64_t>(page, &pos);
+}
+
 }  // namespace
 
 RTree::RTree(BufferPool* pool, RTreeSplit split, int max_entries)
@@ -67,22 +88,30 @@ PageId RTree::NewNodePage() {
 
 RTree::Node RTree::LoadNode(PageId pid) const {
   const Page* page = pool_->GetPage(pid);
+  const NodeHeader header = LoadHeader(*page);
   Node node;
-  size_t pos = 0;
-  node.is_leaf = LoadPod<uint8_t>(*page, &pos) != 0;
-  node.level = LoadPod<uint8_t>(*page, &pos);
-  uint16_t count = LoadPod<uint16_t>(*page, &pos);
-  node.mbrs.reserve(count);
-  node.payloads.reserve(count);
-  for (uint16_t i = 0; i < count; ++i) {
-    double min_x = LoadPod<double>(*page, &pos);
-    double min_y = LoadPod<double>(*page, &pos);
-    double max_x = LoadPod<double>(*page, &pos);
-    double max_y = LoadPod<double>(*page, &pos);
-    node.mbrs.emplace_back(min_x, min_y, max_x, max_y);
-    node.payloads.push_back(LoadPod<int64_t>(*page, &pos));
+  node.is_leaf = header.is_leaf;
+  node.level = header.level;
+  const size_t count = static_cast<size_t>(header.count);
+  node.mbrs.resize(count);
+  node.payloads.resize(count);
+  for (size_t i = 0; i < count; ++i) {
+    LoadEntry(*page, i, &node.mbrs[i], &node.payloads[i]);
   }
   return node;
+}
+
+RTree::NodeHeader RTree::ReadHeader(PageId pid) const {
+  return LoadHeader(*pool_->GetPage(pid));
+}
+
+RTree::EntryView RTree::ReadEntry(PageId pid, int slot) const {
+  const Page* page = pool_->GetPage(pid);
+  EntryView entry;
+  entry.node = LoadHeader(*page);
+  SJ_CHECK(slot >= 0 && slot < entry.node.count);
+  LoadEntry(*page, static_cast<size_t>(slot), &entry.mbr, &entry.payload);
+  return entry;
 }
 
 RTree::NodeView RTree::ReadNode(PageId pid) const {

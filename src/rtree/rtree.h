@@ -92,6 +92,28 @@ class RTree {
   /// Reads node `pid` through the buffer pool (counts I/O).
   NodeView ReadNode(PageId pid) const;
 
+  /// What ReadHeader and ReadEntry decode: a node's header, and one of
+  /// its entries.
+  struct NodeHeader {
+    bool is_leaf = true;
+    int level = 0;  // 0 = leaf; root has the highest level
+    int count = 0;  // entries on the node
+  };
+  struct EntryView {
+    NodeHeader node;
+    Rectangle mbr;
+    int64_t payload = 0;  // PageId (interior) or TupleId (leaf)
+  };
+
+  /// Node `pid`'s header, decoded from one page access (the same I/O as
+  /// ReadNode) without decoding its entries.
+  NodeHeader ReadHeader(PageId pid) const;
+
+  /// Node `pid`'s header and entry `slot` (< its count), decoded from one
+  /// page access (the same I/O as ReadNode) without touching the other
+  /// entries.
+  EntryView ReadEntry(PageId pid, int slot) const;
+
   /// Verifies R-tree invariants (containment, fan-out bounds, level
   /// consistency); aborts via SJ_CHECK on violation. For tests. The
   /// audit subsystem's AuditRTree is the non-aborting superset that

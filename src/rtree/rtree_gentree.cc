@@ -34,9 +34,8 @@ int RTreeGenTree::height() const {
 int RTreeGenTree::HeightOf(NodeId node) const {
   if (node == kRootId) return 0;
   Entry e = Decode(node);
-  RTree::NodeView view = rtree_->ReadNode(e.page);
   // An entry of a node at R-tree level L sits at depth root_level - L + 1.
-  return (rtree_->height() - 1) - view.level + 1;
+  return (rtree_->height() - 1) - rtree_->ReadHeader(e.page).level + 1;
 }
 
 std::vector<NodeId> RTreeGenTree::Children(NodeId node) const {
@@ -45,16 +44,15 @@ std::vector<NodeId> RTreeGenTree::Children(NodeId node) const {
     page_to_expand = rtree_->root_page();
   } else {
     Entry e = Decode(node);
-    RTree::NodeView view = rtree_->ReadNode(e.page);
-    SJ_CHECK_LT(static_cast<size_t>(e.slot), view.payloads.size());
-    if (view.is_leaf) return {};  // data entries are the leaves
-    page_to_expand = view.payloads[static_cast<size_t>(e.slot)];
+    const RTree::EntryView entry = rtree_->ReadEntry(e.page, e.slot);
+    if (entry.node.is_leaf) return {};  // data entries are the leaves
+    page_to_expand = entry.payload;
   }
-  RTree::NodeView child_view = rtree_->ReadNode(page_to_expand);
+  const int count = rtree_->ReadHeader(page_to_expand).count;
   std::vector<NodeId> children;
-  children.reserve(child_view.payloads.size());
-  for (size_t i = 0; i < child_view.payloads.size(); ++i) {
-    children.push_back(Encode(page_to_expand, static_cast<int>(i)));
+  children.reserve(static_cast<size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    children.push_back(Encode(page_to_expand, i));
   }
   return children;
 }
@@ -62,38 +60,31 @@ std::vector<NodeId> RTreeGenTree::Children(NodeId node) const {
 Value RTreeGenTree::Geometry(NodeId node) const {
   if (node == kRootId) return Value(rtree_->RootMbr());
   Entry e = Decode(node);
-  RTree::NodeView view = rtree_->ReadNode(e.page);
-  SJ_CHECK_LT(static_cast<size_t>(e.slot), view.payloads.size());
-  if (view.is_leaf && relation_ != nullptr) {
-    Tuple t =
-        relation_->Read(view.payloads[static_cast<size_t>(e.slot)]);
+  const RTree::EntryView entry = rtree_->ReadEntry(e.page, e.slot);
+  if (entry.node.is_leaf && relation_ != nullptr) {
+    Tuple t = relation_->Read(entry.payload);
     return t.value(column_);
   }
-  return Value(view.mbrs[static_cast<size_t>(e.slot)]);
+  return Value(entry.mbr);
 }
 
 Rectangle RTreeGenTree::MbrOf(NodeId node) const {
   if (node == kRootId) return rtree_->RootMbr();
   Entry e = Decode(node);
-  RTree::NodeView view = rtree_->ReadNode(e.page);
-  SJ_CHECK_LT(static_cast<size_t>(e.slot), view.mbrs.size());
-  return view.mbrs[static_cast<size_t>(e.slot)];
+  return rtree_->ReadEntry(e.page, e.slot).mbr;
 }
 
 bool RTreeGenTree::IsApplicationNode(NodeId node) const {
   if (node == kRootId) return false;
   Entry e = Decode(node);
-  RTree::NodeView view = rtree_->ReadNode(e.page);
-  return view.is_leaf;
+  return rtree_->ReadHeader(e.page).is_leaf;
 }
 
 TupleId RTreeGenTree::TupleOf(NodeId node) const {
   if (node == kRootId) return kInvalidTupleId;
   Entry e = Decode(node);
-  RTree::NodeView view = rtree_->ReadNode(e.page);
-  if (!view.is_leaf) return kInvalidTupleId;
-  SJ_CHECK_LT(static_cast<size_t>(e.slot), view.payloads.size());
-  return view.payloads[static_cast<size_t>(e.slot)];
+  const RTree::EntryView entry = rtree_->ReadEntry(e.page, e.slot);
+  return entry.node.is_leaf ? entry.payload : kInvalidTupleId;
 }
 
 int64_t RTreeGenTree::num_nodes() const {

@@ -141,6 +141,16 @@ TEST(PredicatesTest, SegmentsIntersect) {
   // Parallel.
   EXPECT_FALSE(SegmentsIntersect(Point(0, 0), Point(2, 0), Point(0, 1),
                                  Point(2, 1)));
+  // Nearly collinear and nearly parallel, one unit apart: one orientation
+  // is zero within the tolerance, so they do not cross, and no endpoint
+  // touches the other segment.
+  EXPECT_FALSE(SegmentsIntersect(Point(2, 4e-13), Point(12, 2.4e-12),
+                                 Point(-1, 0), Point(1, 0)));
+  EXPECT_FALSE(SegmentsIntersect(Point(-1, 0), Point(1, 0), Point(2, 4e-13),
+                                 Point(12, 2.4e-12)));
+  // The same with an endpoint on the other segment does touch.
+  EXPECT_TRUE(SegmentsIntersect(Point(1, 1e-13), Point(12, 2.4e-12),
+                                Point(-1, 0), Point(1, 0)));
 }
 
 TEST(PredicatesTest, NorthwestOfIsStrict) {

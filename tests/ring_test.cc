@@ -1,0 +1,388 @@
+// Differential tests of the pruned ring predicates: RingsIntersect (and the
+// θ of `overlaps` built on it) against a brute-force oracle that tests
+// every edge pair, and rectangle values against their polygon form.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
+#include "core/theta_ops.h"
+#include "geometry/polygon.h"
+#include "geometry/predicates.h"
+#include "geometry/rectangle.h"
+#include "geometry/ring.h"
+#include "relational/value.h"
+
+namespace spatialjoin {
+namespace {
+
+// Point-in-ring the unpruned way: a boundary pass, then ray casting.
+bool OracleContainsPoint(const Polygon& ring, const Point& p) {
+  if (!ring.BoundingBox().ContainsPoint(p)) return false;
+  const std::vector<Point>& pts = ring.ring();
+  const size_t n = pts.size();
+  for (size_t i = 0; i < n; ++i) {
+    if (PointOnSegment(p, pts[i], pts[(i + 1) % n])) return true;
+  }
+  bool inside = false;
+  for (size_t i = 0; i < n; ++i) {
+    const Point& a = pts[i];
+    const Point& b = pts[(i + 1) % n];
+    if ((a.y > p.y) == (b.y > p.y)) continue;
+    const double x_at_y = a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x);
+    if (x_at_y > p.x) inside = !inside;
+  }
+  return inside;
+}
+
+// The all-pairs intersection test RingsIntersect must agree with: every
+// edge pair through SegmentsIntersect, then the two first-vertex
+// containment fallbacks.
+bool OracleIntersects(const Polygon& a, const Polygon& b) {
+  if (!a.BoundingBox().Overlaps(b.BoundingBox())) return false;
+  const std::vector<Point>& ra = a.ring();
+  const std::vector<Point>& rb = b.ring();
+  for (size_t i = 0; i < ra.size(); ++i) {
+    for (size_t j = 0; j < rb.size(); ++j) {
+      if (SegmentsIntersect(ra[i], ra[(i + 1) % ra.size()], rb[j],
+                            rb[(j + 1) % rb.size()])) {
+        return true;
+      }
+    }
+  }
+  return OracleContainsPoint(a, rb[0]) || OracleContainsPoint(b, ra[0]);
+}
+
+// A rectangle as a polygon, corners counter-clockwise from (min_x, min_y),
+// spelled out here rather than taken from the code under test.
+Polygon CornerRing(const Rectangle& r) {
+  return Polygon({{r.min_x(), r.min_y()},
+                  {r.max_x(), r.min_y()},
+                  {r.max_x(), r.max_y()},
+                  {r.min_x(), r.max_y()}});
+}
+
+// The ring an areal value stands for.
+Polygon RingOf(const Value& v) {
+  return v.type() == ValueType::kRectangle ? CornerRing(v.AsRectangle())
+                                           : v.AsPolygon();
+}
+
+// Tally of one comparison: the pairs compared, how many the oracle says
+// intersect (so a test can check it saw both answers), and how many
+// disagreed.
+struct PairTally {
+  int64_t pairs = 0;
+  int64_t hits = 0;
+  int64_t mismatches = 0;
+};
+
+// Compares `got(i, j)` with `want(i, j)` over every ordered pair of a pool
+// of `n` shapes, reporting the first few disagreements.
+PairTally CompareAllPairs(size_t n,
+                          const std::function<bool(size_t, size_t)>& got,
+                          const std::function<bool(size_t, size_t)>& want,
+                          const std::function<std::string(size_t)>& show) {
+  PairTally tally;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      const bool expected = want(i, j);
+      ++tally.pairs;
+      tally.hits += expected ? 1 : 0;
+      if (got(i, j) == expected) continue;
+      if (++tally.mismatches <= 5) {
+        ADD_FAILURE() << "pair " << i << "," << j << ": oracle says "
+                      << expected << "\n  " << show(i) << "\n  " << show(j);
+      }
+    }
+  }
+  return tally;
+}
+
+PairTally ComparePolygonPool(const std::vector<Polygon>& pool) {
+  return CompareAllPairs(
+      pool.size(),
+      [&](size_t i, size_t j) {
+        return RingsIntersect(pool[i].ring_view(), pool[j].ring_view());
+      },
+      [&](size_t i, size_t j) { return OracleIntersects(pool[i], pool[j]); },
+      [&](size_t i) { return pool[i].ToString(); });
+}
+
+// A point of the small integer grid [0, 8]², where every predicate's
+// arithmetic is exact.
+Point GridPoint(Rng* rng) {
+  return Point(static_cast<double>(rng->NextUint64(9)),
+               static_cast<double>(rng->NextUint64(9)));
+}
+
+// Small-integer-grid rings: random rings (self-crossing allowed, with
+// repeated vertices for zero-length edges), rectangle-derived rings
+// (including zero-width ones), nested rings and rings with collinear
+// extra vertices. Every pair of the pool, including each ring with
+// itself, is compared.
+std::vector<Polygon> GridPool(uint64_t seed, size_t count) {
+  Rng rng(seed);
+  std::vector<Polygon> pool;
+  // Nested squares with a collinear midpoint on every edge.
+  for (int k = 0; k < 4; ++k) {
+    const double lo = k;
+    const double hi = 8 - k;
+    const double mid = 4;
+    pool.emplace_back(std::vector<Point>{{lo, lo},
+                                         {mid, lo},
+                                         {hi, lo},
+                                         {hi, mid},
+                                         {hi, hi},
+                                         {mid, hi},
+                                         {lo, hi},
+                                         {lo, mid}});
+  }
+  while (pool.size() < count) {
+    switch (rng.NextUint64(3)) {
+      case 0: {  // rectangle-derived, possibly of zero width or height
+        const Point a = GridPoint(&rng);
+        const Point b = GridPoint(&rng);
+        pool.push_back(Polygon::FromRectangle(
+            Rectangle(std::min(a.x, b.x), std::min(a.y, b.y),
+                      std::max(a.x, b.x), std::max(a.y, b.y))));
+        break;
+      }
+      default: {  // random ring, sometimes with a repeated vertex
+        std::vector<Point> ring;
+        const size_t n = 3 + rng.NextUint64(8);
+        for (size_t i = 0; i < n; ++i) ring.push_back(GridPoint(&rng));
+        if (rng.NextUint64(4) == 0) {
+          const size_t at = rng.NextUint64(n);
+          ring.insert(ring.begin() + static_cast<std::ptrdiff_t>(at),
+                      ring[at]);
+        }
+        pool.emplace_back(std::move(ring));
+        break;
+      }
+    }
+  }
+  return pool;
+}
+
+// GridPool's rings with every coordinate moved, with probability 1/2, by
+// a multiple of 2e-13 in [-8e-13, 8e-13]: contacts that are exact on
+// the grid become contacts within the predicates' tolerance, often just
+// outside the other edge's box, which only the boxes' ε growth keeps.
+std::vector<Polygon> JitteredGridPool(uint64_t seed, size_t count) {
+  Rng rng(seed);
+  std::vector<Polygon> pool;
+  for (const Polygon& ring : GridPool(seed, count)) {
+    std::vector<Point> moved = ring.ring();
+    for (Point& p : moved) {
+      for (double* coord : {&p.x, &p.y}) {
+        if (rng.NextUint64(2) == 0) continue;
+        *coord += 2e-13 * (static_cast<double>(rng.NextUint64(9)) - 4);
+      }
+    }
+    pool.emplace_back(std::move(moved));
+  }
+  return pool;
+}
+
+// A star-shaped ring around `center` (the benchmark's polygon shape).
+Polygon StarRing(Rng* rng, const Point& center, double min_radius,
+                 double max_radius, int vertices) {
+  std::vector<Point> ring;
+  for (int i = 0; i < vertices; ++i) {
+    const double angle = 2.0 * M_PI * i / vertices;
+    const double radius = rng->NextDouble(min_radius, max_radius);
+    ring.emplace_back(center.x + radius * std::cos(angle),
+                      center.y + radius * std::sin(angle));
+  }
+  return Polygon(std::move(ring));
+}
+
+// Random float star rings centered in a `world`² square, a quarter of
+// them with their vertices snapped to multiples of 0.1 (not exact in
+// binary), which makes nearly collinear and nearly touching edges common.
+std::vector<Polygon> StarPool(uint64_t seed, size_t count, int min_vertices,
+                              int max_vertices, double max_radius,
+                              double world) {
+  Rng rng(seed);
+  std::vector<Polygon> pool;
+  while (pool.size() < count) {
+    const Point center(rng.NextDouble(0, world), rng.NextDouble(0, world));
+    const int vertices =
+        min_vertices +
+        static_cast<int>(rng.NextUint64(
+            static_cast<uint64_t>(max_vertices - min_vertices + 1)));
+    Polygon star =
+        StarRing(&rng, center, max_radius / 8, max_radius, vertices);
+    if (rng.NextUint64(4) == 0) {
+      std::vector<Point> snapped = star.ring();
+      for (Point& p : snapped) {
+        p = Point(std::round(p.x * 10) / 10, std::round(p.y * 10) / 10);
+      }
+      star = Polygon(std::move(snapped));
+    }
+    pool.push_back(std::move(star));
+  }
+  return pool;
+}
+
+TEST(RingRegressionTest, NearlyCollinearRingsOneUnitApartAreDisjoint) {
+  // A's bottom edge is within the tolerance of collinear with B's edge
+  // (-1,0)-(1,0) but lies one unit beyond its end.
+  const Polygon a({{2, 4e-13}, {12, 2.4e-12}, {12, 5}, {2, 5}});
+  const Polygon b({{-1, 0},
+                   {1, 0},
+                   {1, -1},
+                   {29, -1},
+                   {29, 10},
+                   {30, 10},
+                   {30, -2},
+                   {-1, -2}});
+  EXPECT_FALSE(a.Intersects(b));
+  EXPECT_FALSE(b.Intersects(a));
+  EXPECT_FALSE(OracleIntersects(a, b));
+  EXPECT_FALSE(OverlapsOp().Theta(Value(a), Value(b)));
+  EXPECT_NEAR(a.DistanceToPolygon(b), 1.0, 1e-9);
+  EXPECT_NEAR(b.DistanceToPolygon(a), 1.0, 1e-9);
+}
+
+TEST(RingOracleTest, GridRingsMatchBruteForce) {
+  const std::vector<Polygon> pool = GridPool(101, 820);
+  const PairTally tally = ComparePolygonPool(pool);
+  EXPECT_EQ(tally.mismatches, 0);
+  EXPECT_EQ(tally.pairs, 820 * 820);
+  // Both answers are well represented.
+  EXPECT_GT(tally.hits, tally.pairs / 10);
+  EXPECT_LT(tally.hits, tally.pairs * 9 / 10);
+}
+
+TEST(RingOracleTest, JitteredGridRingsMatchBruteForce) {
+  const std::vector<Polygon> pool = JitteredGridPool(151, 600);
+  const PairTally tally = ComparePolygonPool(pool);
+  EXPECT_EQ(tally.mismatches, 0);
+  EXPECT_GT(tally.hits, tally.pairs / 10);
+  EXPECT_LT(tally.hits, tally.pairs * 9 / 10);
+}
+
+TEST(RingOracleTest, FloatStarRingsMatchBruteForce) {
+  const std::vector<Polygon> pool = StarPool(202, 600, 5, 24, 20.0, 100.0);
+  const PairTally tally = ComparePolygonPool(pool);
+  EXPECT_EQ(tally.mismatches, 0);
+  EXPECT_EQ(tally.pairs, 600 * 600);
+  EXPECT_GT(tally.hits, 1000);
+}
+
+TEST(RingOracleTest, LongRingsMatchBruteForce) {
+  // 40-120 vertices on large, heavily overlapping rings, so more edges
+  // reach the MBR intersection than RingsIntersect buffers per pass.
+  const std::vector<Polygon> pool = StarPool(303, 100, 40, 120, 45.0, 100.0);
+  const PairTally tally = ComparePolygonPool(pool);
+  EXPECT_EQ(tally.mismatches, 0);
+  EXPECT_GT(tally.hits, tally.pairs / 4);
+  // Rings nested with no boundary contact: only the containment
+  // fallback can answer.
+  const Polygon outer = Polygon::RegularNGon(Point(0, 0), 10, 100);
+  const Polygon inner = Polygon::RegularNGon(Point(0.5, 0), 3, 90);
+  EXPECT_TRUE(RingsIntersect(outer.ring_view(), inner.ring_view()));
+  EXPECT_TRUE(RingsIntersect(inner.ring_view(), outer.ring_view()));
+  EXPECT_TRUE(OracleIntersects(outer, inner));
+}
+
+// The shapes the Value-level tests draw from: grid and float rectangles
+// and polygons, all in or near the grid's [0, 8]² square.
+std::vector<Value> ArealValues(uint64_t seed) {
+  std::vector<Value> values;
+  Rng rng(seed);
+  for (const Polygon& p : GridPool(seed, 160)) values.emplace_back(p);
+  for (const Polygon& p : StarPool(seed + 1, 160, 5, 20, 4.0, 12.0)) {
+    values.emplace_back(p);
+  }
+  for (int i = 0; i < 160; ++i) {
+    const Point a = GridPoint(&rng);
+    const Point b = GridPoint(&rng);
+    values.emplace_back(Rectangle(std::min(a.x, b.x), std::min(a.y, b.y),
+                                  std::max(a.x, b.x), std::max(a.y, b.y)));
+  }
+  for (int i = 0; i < 160; ++i) {
+    const double x = rng.NextDouble(-2, 12);
+    const double y = rng.NextDouble(-2, 12);
+    values.emplace_back(Rectangle(x, y, x + rng.NextDouble(0, 5),
+                                  y + rng.NextDouble(0, 5)));
+  }
+  return values;
+}
+
+TEST(RingOracleTest, OverlapsThetaMatchesOracleForEveryArealPair) {
+  const std::vector<Value> values = ArealValues(404);
+  const OverlapsOp op;
+  int64_t kinds[2][2] = {{0, 0}, {0, 0}};
+  const PairTally tally = CompareAllPairs(
+      values.size(),
+      [&](size_t i, size_t j) {
+        ++kinds[values[i].type() == ValueType::kPolygon]
+               [values[j].type() == ValueType::kPolygon];
+        return op.Theta(values[i], values[j]);
+      },
+      [&](size_t i, size_t j) {
+        return OracleIntersects(RingOf(values[i]), RingOf(values[j]));
+      },
+      [&](size_t i) { return values[i].ToString(); });
+  EXPECT_EQ(tally.mismatches, 0);
+  EXPECT_GT(tally.hits, tally.pairs / 20);
+  for (const auto& row : kinds) {
+    for (int64_t count : row) EXPECT_GT(count, 10000);
+  }
+}
+
+TEST(RingOracleTest, RectangleValueActsAsItsPolygon) {
+  const std::vector<Value> values = ArealValues(505);
+  std::vector<Rectangle> rects;
+  std::vector<Value> polygons;
+  for (const Value& v : values) {
+    if (v.type() == ValueType::kRectangle) {
+      rects.push_back(v.AsRectangle());
+    } else {
+      polygons.push_back(v);
+    }
+  }
+  for (const Rectangle& r : rects) {
+    ASSERT_EQ(Polygon::FromRectangle(r).ring(), CornerRing(r).ring());
+  }
+  std::vector<std::unique_ptr<ThetaOperator>> ops;
+  ops.push_back(std::make_unique<IncludesOp>());
+  ops.push_back(std::make_unique<ContainedInOp>());
+  ops.push_back(std::make_unique<AdjacentOp>());
+  ops.push_back(std::make_unique<ReachableWithinOp>(1.5, 1.0));
+  for (const auto& op : ops) {
+    int64_t mismatches = 0;
+    int64_t hits = 0;
+    for (const Rectangle& r : rects) {
+      const Value rect(r);
+      const Value as_polygon(CornerRing(r));
+      for (const Value& poly : polygons) {
+        const bool forward = op->Theta(as_polygon, poly);
+        const bool backward = op->Theta(poly, as_polygon);
+        hits += (forward ? 1 : 0) + (backward ? 1 : 0);
+        if (op->Theta(rect, poly) != forward ||
+            op->Theta(poly, rect) != backward) {
+          if (++mismatches <= 5) {
+            ADD_FAILURE() << op->name() << " differs for " << r.ToString()
+                          << " and " << poly.ToString();
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << op->name();
+    EXPECT_GT(hits, 100) << op->name();
+  }
+}
+
+}  // namespace
+}  // namespace spatialjoin

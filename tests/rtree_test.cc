@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "common/random.h"
+#include "exec/frozen_tree.h"
+#include "relational/relation.h"
 #include "rtree/rtree.h"
 #include "rtree/rtree_gentree.h"
 #include "storage/buffer_pool.h"
@@ -288,6 +290,158 @@ TEST_F(RTreeGenTreeTest, StructureMatchesRTree) {
     }
   }
   EXPECT_EQ(app_nodes, rtree.num_entries());
+}
+
+// The R-tree adapter as it reads pages when every accessor decodes the
+// whole node (RTree::ReadNode): the oracle for RTreeGenTree's one-entry
+// reads. Node ids use the adapter's encoding, page * 256 + slot + 1, so
+// the two trees' ids can be compared directly.
+class FullPageDecodeGenTree : public GeneralizationTree {
+ public:
+  FullPageDecodeGenTree(const RTree* rtree, const Relation* relation,
+                        size_t column)
+      : rtree_(rtree), relation_(relation), column_(column) {}
+
+  NodeId root() const override { return 0; }
+  int height() const override { return rtree_->height(); }
+  int HeightOf(NodeId node) const override {
+    if (node == 0) return 0;
+    return (rtree_->height() - 1) - rtree_->ReadNode(PageOf(node)).level + 1;
+  }
+  std::vector<NodeId> Children(NodeId node) const override {
+    PageId page = rtree_->root_page();
+    if (node != 0) {
+      const RTree::NodeView view = rtree_->ReadNode(PageOf(node));
+      if (view.is_leaf) return {};
+      page = view.payloads[SlotOf(node)];
+    }
+    const RTree::NodeView child = rtree_->ReadNode(page);
+    std::vector<NodeId> children;
+    for (size_t i = 0; i < child.payloads.size(); ++i) {
+      children.push_back(page * 256 + static_cast<NodeId>(i) + 1);
+    }
+    return children;
+  }
+  Value Geometry(NodeId node) const override {
+    if (node == 0) return Value(rtree_->RootMbr());
+    const RTree::NodeView view = rtree_->ReadNode(PageOf(node));
+    if (view.is_leaf && relation_ != nullptr) {
+      return relation_->Read(view.payloads[SlotOf(node)]).value(column_);
+    }
+    return Value(view.mbrs[SlotOf(node)]);
+  }
+  Rectangle MbrOf(NodeId node) const override {
+    if (node == 0) return rtree_->RootMbr();
+    return rtree_->ReadNode(PageOf(node)).mbrs[SlotOf(node)];
+  }
+  bool IsApplicationNode(NodeId node) const override {
+    return node != 0 && rtree_->ReadNode(PageOf(node)).is_leaf;
+  }
+  TupleId TupleOf(NodeId node) const override {
+    if (node == 0) return kInvalidTupleId;
+    const RTree::NodeView view = rtree_->ReadNode(PageOf(node));
+    return view.is_leaf ? view.payloads[SlotOf(node)] : kInvalidTupleId;
+  }
+  int64_t num_nodes() const override {
+    return 1 + rtree_->num_entries() + (rtree_->num_nodes() - 1);
+  }
+
+ private:
+  static PageId PageOf(NodeId node) { return (node - 1) / 256; }
+  static size_t SlotOf(NodeId node) {
+    return static_cast<size_t>((node - 1) % 256);
+  }
+
+  const RTree* rtree_;
+  const Relation* relation_;
+  size_t column_;
+};
+
+// A three-level R-tree over polygons whose pages, with the relation's,
+// far exceed a small buffer pool, so any change in the order of page
+// accesses shows in the hit and miss counts.
+class RTreeGenTreeReadsTest : public ::testing::Test {
+ protected:
+  RTreeGenTreeReadsTest()
+      : disk_(2000),
+        pool_(&disk_, 12),
+        relation_("r",
+                  Schema({{"id", ValueType::kInt64},
+                          {"geom", ValueType::kPolygon}}),
+                  &pool_),
+        rtree_(&pool_, RTreeSplit::kQuadratic, 6) {
+    RectGenerator gen(Rectangle(0, 0, 100, 100), 21);
+    for (int i = 0; i < 120; ++i) {
+      const Polygon shape = gen.NextPolygon(1, 4, 7);
+      const TupleId tid = relation_.Insert(
+          Tuple({Value(static_cast<int64_t>(i)), Value(shape)}));
+      rtree_.Insert(shape.BoundingBox(), tid);
+    }
+  }
+
+  DiskManager disk_;
+  BufferPool pool_;
+  Relation relation_;
+  RTree rtree_;
+};
+
+TEST_F(RTreeGenTreeReadsTest, AccessorsMatchFullPageDecode) {
+  ASSERT_EQ(rtree_.height(), 3);
+  const std::vector<const Relation*> relations = {&relation_, nullptr};
+  for (const Relation* relation : relations) {
+    const RTreeGenTree adapter(&rtree_, relation, 1);
+    const FullPageDecodeGenTree oracle(&rtree_, relation, 1);
+    EXPECT_EQ(adapter.num_nodes(), oracle.num_nodes());
+    int64_t visited = 0;
+    std::vector<NodeId> stack{oracle.root()};
+    while (!stack.empty()) {
+      const NodeId node = stack.back();
+      stack.pop_back();
+      ++visited;
+      EXPECT_EQ(adapter.Geometry(node), oracle.Geometry(node)) << node;
+      EXPECT_EQ(adapter.MbrOf(node), oracle.MbrOf(node)) << node;
+      EXPECT_EQ(adapter.TupleOf(node), oracle.TupleOf(node)) << node;
+      EXPECT_EQ(adapter.HeightOf(node), oracle.HeightOf(node)) << node;
+      EXPECT_EQ(adapter.IsApplicationNode(node),
+                oracle.IsApplicationNode(node))
+          << node;
+      const std::vector<NodeId> children = oracle.Children(node);
+      EXPECT_EQ(adapter.Children(node), children) << node;
+      stack.insert(stack.end(), children.begin(), children.end());
+    }
+    EXPECT_EQ(visited, oracle.num_nodes());
+  }
+}
+
+TEST_F(RTreeGenTreeReadsTest, MaterializeMakesTheSamePoolAccesses) {
+  const RTreeGenTree adapter(&rtree_, &relation_, 1);
+  const FullPageDecodeGenTree oracle(&rtree_, &relation_, 1);
+  auto cold_materialize = [&](const GeneralizationTree& source,
+                              BufferPoolStats* stats) {
+    EXPECT_TRUE(pool_.Clear().ok());
+    pool_.ResetStats();
+    exec::FrozenTree frozen = exec::FrozenTree::Materialize(source);
+    *stats = pool_.stats();
+    return frozen;
+  };
+  BufferPoolStats adapter_stats;
+  BufferPoolStats oracle_stats;
+  const exec::FrozenTree got = cold_materialize(adapter, &adapter_stats);
+  const exec::FrozenTree want = cold_materialize(oracle, &oracle_stats);
+  EXPECT_GT(oracle_stats.misses, 50);
+  EXPECT_GT(oracle_stats.evictions, 50);
+  EXPECT_EQ(adapter_stats.hits, oracle_stats.hits);
+  EXPECT_EQ(adapter_stats.misses, oracle_stats.misses);
+  EXPECT_EQ(adapter_stats.evictions, oracle_stats.evictions);
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  for (NodeId node = 0; node < want.num_nodes(); ++node) {
+    EXPECT_EQ(got.Geometry(node), want.Geometry(node));
+    EXPECT_EQ(got.MbrOf(node), want.MbrOf(node));
+    EXPECT_EQ(got.TupleOf(node), want.TupleOf(node));
+    EXPECT_EQ(got.HeightOf(node), want.HeightOf(node));
+    EXPECT_EQ(got.IsApplicationNode(node), want.IsApplicationNode(node));
+    EXPECT_EQ(got.Children(node), want.Children(node));
+  }
 }
 
 }  // namespace

@@ -228,16 +228,6 @@ PhaseResult RunLoadPhase(const std::string& socket_path, int clients,
   return result;
 }
 
-// Pulls queries.ok out of a STATS reply without a JSON parser: the
-// serializer's formatting is stable ("queries" object, "ok" first key).
-int64_t ExtractStatsOkCount(const std::string& json) {
-  const size_t queries = json.find("\"queries\"");
-  if (queries == std::string::npos) return -1;
-  const size_t key = json.find("\"ok\": ", queries);
-  if (key == std::string::npos) return -1;
-  return std::atoll(json.c_str() + key + 6);
-}
-
 void WritePhaseLatency(JsonWriter* w, const PhaseResult& phase) {
   w->BeginObject();
   w->KV("p50", phase.p50);
@@ -414,7 +404,8 @@ int main(int argc, char** argv) {
     SJ_CHECK(final_client.ok());
     Result<std::string> stats = final_client.value()->Stats();
     SJ_CHECK(stats.ok());
-    stats_ok_count = ExtractStatsOkCount(stats.value());
+    // A reply that does not parse reads as -1, which never matches.
+    stats_ok_count = ParseJson(stats.value()).root.IntAt("queries.ok", -1);
   }
   const bool stats_attribution_exact = stats_ok_count == ok;
 

@@ -1,8 +1,10 @@
 #include "core/spatial_join.h"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/analysis_annotations.h"
 #include "common/check.h"
@@ -134,18 +136,63 @@ JoinResult DispatchJoin(JoinStrategy strategy, const SpatialJoinContext& ctx,
   return JoinResult{};
 }
 
-}  // namespace
+// One query kind's registry instruments, resolved on the kind's first
+// query rather than per query: each lookup takes the registry mutex and
+// builds a key string. A strategy's counter is still registered on that
+// strategy's first query, so the set of registered names is unchanged.
+struct QueryKindMetrics {
+  static constexpr int kMaxStrategies = 8;
 
-JoinResult ExecuteJoin(JoinStrategy strategy, const SpatialJoinContext& ctx,
-                       const ThetaOperator& op) {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.GetCounter("query.join.count")->Increment();
-  registry
-      .GetCounter(std::string("query.join.strategy.") +
-                  JoinStrategyName(strategy))
-      ->Increment();
-  SJ_EVENT(kQueryAdmitted, kInfo, "join %s (op %s)",
-           JoinStrategyName(strategy), op.name().c_str());
+  // `kind_name` is how events name the kind ("join"); `scope_name`
+  // ("query.join") prefixes the instruments and names the activity scope
+  // and span category, so it must be a static string.
+  QueryKindMetrics(const char* kind_name, const char* scope_name)
+      : kind(kind_name),
+        scope(scope_name),
+        count(MetricsRegistry::Global().GetCounter(Name("count"))),
+        matches(MetricsRegistry::Global().GetCounter(Name("matches"))),
+        wall_ns(MetricsRegistry::Global().GetHistogram(Name("wall_ns"))) {}
+
+  std::string Name(std::string_view leaf) const {
+    return std::string(scope) + "." + std::string(leaf);
+  }
+
+  Counter* StrategyCounter(int id, const char* strategy) {
+    Counter* counter = strategies[id].load(std::memory_order_acquire);
+    if (counter == nullptr) {
+      counter = MetricsRegistry::Global().GetCounter(
+          Name(std::string("strategy.") + strategy));
+      strategies[id].store(counter, std::memory_order_release);
+    }
+    return counter;
+  }
+
+  const char* const kind;
+  const char* const scope;
+  Counter* const count;
+  Counter* const matches;
+  Histogram* const wall_ns;
+  std::atomic<Counter*> strategies[kMaxStrategies] = {};
+};
+
+// Every JoinStrategy and SelectStrategy (the last enumerators) has a slot.
+static_assert(static_cast<int>(JoinStrategy::kPartitionedJoin) <
+                  QueryKindMetrics::kMaxStrategies &&
+              static_cast<int>(SelectStrategy::kParallelTree) <
+                  QueryKindMetrics::kMaxStrategies);
+
+// The per-query accounting ExecuteJoin and ExecuteSelect share, around
+// `dispatch` (the strategy's body): registry counters and wall time,
+// admitted/finished events, deadline arming, the activity scope and
+// span, early-stop accounting, and the trace summary.
+template <typename Dispatch>
+JoinResult RunAccounted(QueryKindMetrics* metrics, int strategy_id,
+                        const char* strategy, const SpatialJoinContext& ctx,
+                        const ThetaOperator& op, const Dispatch& dispatch) {
+  metrics->count->Increment();
+  metrics->StrategyCounter(strategy_id, strategy)->Increment();
+  SJ_EVENT(kQueryAdmitted, kInfo, "%s %s (op %s)", metrics->kind, strategy,
+           op.name().c_str());
   // With a token attached, the advisory budget becomes enforceable: arm
   // the token so the level loops actually stop at the deadline.
   if (ctx.cancel != nullptr && ctx.deadline_budget_ns > 0) {
@@ -155,41 +202,62 @@ JoinResult ExecuteJoin(JoinStrategy strategy, const SpatialJoinContext& ctx,
   JoinResult result;
   double wall_ns = 0.0;
   {
-    // JoinStrategyName returns static strings, as SJ_SPAN (and
-    // ActivityScope) names must be. The scope registers the query with
-    // the flight recorder: level loops heartbeat it, the watchdog flags
-    // it if it stalls or overruns ctx.deadline_budget_ns.
-    ActivityScope activity("query.join", JoinStrategyName(strategy),
-                           ctx.deadline_budget_ns);
-    ScopedSpan span(JoinStrategyName(strategy), "query.join");
-    ScopedTimer timer(registry.GetHistogram("query.join.wall_ns"), &wall_ns);
-    result = DispatchJoin(strategy, ctx, op);
+    // Strategy names are static strings, as SJ_SPAN (and ActivityScope)
+    // names must be. The scope registers the query with the flight
+    // recorder: level loops heartbeat it, the watchdog flags it if it
+    // stalls or overruns ctx.deadline_budget_ns.
+    ActivityScope activity(metrics->scope, strategy, ctx.deadline_budget_ns);
+    ScopedSpan span(strategy, metrics->scope);
+    ScopedTimer timer(metrics->wall_ns, &wall_ns);
+    result = dispatch();
   }
   if (ctx.cancel != nullptr &&
       ctx.cancel->reason() != exec::StopReason::kNone) {
     const bool deadline =
         ctx.cancel->reason() == exec::StopReason::kDeadline;
-    registry
-        .GetCounter(deadline ? "query.join.stopped.deadline"
-                             : "query.join.stopped.cancelled")
+    MetricsRegistry::Global()
+        .GetCounter(metrics->Name(deadline ? "stopped.deadline"
+                                           : "stopped.cancelled"))
         ->Increment();
-    SJ_EVENT(kDeadlineExceeded, kWarn, "join %s stopped early (%s)",
-             JoinStrategyName(strategy), deadline ? "deadline" : "cancel");
+    SJ_EVENT(kDeadlineExceeded, kWarn, "%s %s stopped early (%s)",
+             metrics->kind, strategy, deadline ? "deadline" : "cancel");
   }
-  SJ_EVENT(kQueryFinished, kInfo, "join %s: %lld matches, %.2f ms",
-           JoinStrategyName(strategy),
+  SJ_EVENT(kQueryFinished, kInfo, "%s %s: %lld matches, %.2f ms",
+           metrics->kind, strategy,
            static_cast<long long>(result.matches.size()), wall_ns / 1e6);
-  registry.GetCounter("query.join.matches")
-      ->Increment(static_cast<int64_t>(result.matches.size()));
+  metrics->matches->Increment(static_cast<int64_t>(result.matches.size()));
   if (ctx.trace != nullptr) {
-    ctx.trace->set_strategy(JoinStrategyName(strategy));
+    ctx.trace->set_strategy(strategy);
     ctx.trace->set_wall_ns(wall_ns);
     ctx.trace->set_matches(static_cast<int64_t>(result.matches.size()));
   }
   return result;
 }
 
+}  // namespace
+
+JoinResult ExecuteJoin(JoinStrategy strategy, const SpatialJoinContext& ctx,
+                       const ThetaOperator& op) {
+  static QueryKindMetrics metrics("join", "query.join");
+  return RunAccounted(&metrics, static_cast<int>(strategy),
+                      JoinStrategyName(strategy), ctx, op,
+                      [&] { return DispatchJoin(strategy, ctx, op); });
+}
+
 namespace {
+
+// A finished selection's counters and matches, as (selector, S) pairs.
+JoinResult SelectAsJoinResult(const SelectResult& sel, TupleId selector_tid) {
+  JoinResult result;
+  result.theta_tests = sel.theta_tests;
+  result.theta_upper_tests = sel.theta_upper_tests;
+  result.nodes_accessed = sel.nodes_accessed;
+  for (TupleId tid : sel.matching_tuples) {
+    SJ_BOUNDED_WORK;  // repackages a finished select's matches
+    result.matches.emplace_back(selector_tid, tid);
+  }
+  return result;
+}
 
 JoinResult DispatchSelect(SelectStrategy strategy,
                           const SpatialJoinContext& ctx,
@@ -209,17 +277,10 @@ JoinResult DispatchSelect(SelectStrategy strategy,
     }
     case SelectStrategy::kTree: {
       SJ_CHECK_MSG(ctx.s_tree != nullptr, "tree select needs a tree on S");
-      SelectResult sel = SpatialSelect(selector, *ctx.s_tree, op,
-                                       ctx.traversal, ctx.trace, ctx.cancel);
-      JoinResult result;
-      result.theta_tests = sel.theta_tests;
-      result.theta_upper_tests = sel.theta_upper_tests;
-      result.nodes_accessed = sel.nodes_accessed;
-      for (TupleId tid : sel.matching_tuples) {
-        SJ_BOUNDED_WORK;  // repackages a finished select's matches
-        result.matches.emplace_back(selector_tid, tid);
-      }
-      return result;
+      return SelectAsJoinResult(
+          SpatialSelect(selector, *ctx.s_tree, op, ctx.traversal, ctx.trace,
+                        ctx.cancel),
+          selector_tid);
     }
     case SelectStrategy::kJoinIndexLookup: {
       SJ_CHECK_MSG(ctx.join_index != nullptr && ctx.s != nullptr,
@@ -242,18 +303,10 @@ JoinResult DispatchSelect(SelectStrategy strategy,
                    "parallel tree select needs a SpatialJoinContext."
                    "exec_pool");
       std::optional<exec::FrozenTree> s_snapshot;
-      SelectResult sel =
+      return SelectAsJoinResult(
           exec::ParallelSelect(selector, AsFrozen(*ctx.s_tree, &s_snapshot),
-                               op, ctx.exec_pool, ctx.cancel);
-      JoinResult result;
-      result.theta_tests = sel.theta_tests;
-      result.theta_upper_tests = sel.theta_upper_tests;
-      result.nodes_accessed = sel.nodes_accessed;
-      for (TupleId tid : sel.matching_tuples) {
-        SJ_BOUNDED_WORK;  // repackages a finished select's matches
-        result.matches.emplace_back(selector_tid, tid);
-      }
-      return result;
+                               op, ctx.exec_pool, ctx.cancel),
+          selector_tid);
     }
   }
   SJ_CHECK_MSG(false, "unreachable");
@@ -265,50 +318,12 @@ JoinResult DispatchSelect(SelectStrategy strategy,
 JoinResult ExecuteSelect(SelectStrategy strategy,
                          const SpatialJoinContext& ctx, const Value& selector,
                          TupleId selector_tid, const ThetaOperator& op) {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.GetCounter("query.select.count")->Increment();
-  registry
-      .GetCounter(std::string("query.select.strategy.") +
-                  SelectStrategyName(strategy))
-      ->Increment();
-
-  SJ_EVENT(kQueryAdmitted, kInfo, "select %s (op %s)",
-           SelectStrategyName(strategy), op.name().c_str());
-  if (ctx.cancel != nullptr && ctx.deadline_budget_ns > 0) {
-    ctx.cancel->ArmDeadline(ctx.deadline_budget_ns);
-  }
-  JoinResult result;
-  double wall_ns = 0.0;
-  {
-    ActivityScope activity("query.select", SelectStrategyName(strategy),
-                           ctx.deadline_budget_ns);
-    ScopedSpan span(SelectStrategyName(strategy), "query.select");
-    ScopedTimer timer(registry.GetHistogram("query.select.wall_ns"),
-                      &wall_ns);
-    result = DispatchSelect(strategy, ctx, selector, selector_tid, op);
-  }
-  if (ctx.cancel != nullptr &&
-      ctx.cancel->reason() != exec::StopReason::kNone) {
-    const bool deadline =
-        ctx.cancel->reason() == exec::StopReason::kDeadline;
-    registry
-        .GetCounter(deadline ? "query.select.stopped.deadline"
-                             : "query.select.stopped.cancelled")
-        ->Increment();
-    SJ_EVENT(kDeadlineExceeded, kWarn, "select %s stopped early (%s)",
-             SelectStrategyName(strategy), deadline ? "deadline" : "cancel");
-  }
-  SJ_EVENT(kQueryFinished, kInfo, "select %s: %lld matches, %.2f ms",
-           SelectStrategyName(strategy),
-           static_cast<long long>(result.matches.size()), wall_ns / 1e6);
-  registry.GetCounter("query.select.matches")
-      ->Increment(static_cast<int64_t>(result.matches.size()));
-  if (ctx.trace != nullptr) {
-    ctx.trace->set_strategy(SelectStrategyName(strategy));
-    ctx.trace->set_wall_ns(wall_ns);
-    ctx.trace->set_matches(static_cast<int64_t>(result.matches.size()));
-  }
-  return result;
+  static QueryKindMetrics metrics("select", "query.select");
+  return RunAccounted(&metrics, static_cast<int>(strategy),
+                      SelectStrategyName(strategy), ctx, op, [&] {
+                        return DispatchSelect(strategy, ctx, selector,
+                                              selector_tid, op);
+                      });
 }
 
 void NormalizeMatches(JoinResult* result) {

@@ -126,12 +126,6 @@ inline void ChargePagesRead(int64_t n = 1) {
 inline void ChargePagesHit(int64_t n = 1) {
   if (QueryCharges* c = internal::tls_charges) c->AddPagesHit(n);
 }
-inline void ChargePairsExamined(int64_t n) {
-  if (QueryCharges* c = internal::tls_charges) c->AddPairsExamined(n);
-}
-inline void ChargeQualPairs(int64_t n) {
-  if (QueryCharges* c = internal::tls_charges) c->AddQualPairs(n);
-}
 
 }  // namespace attribution
 }  // namespace spatialjoin

@@ -84,7 +84,7 @@ Status Server::Start() {
 
   started_ = true;
   accept_thread_ = std::thread([this] { AcceptLoop(); });
-  SJ_EVENT(kQueryAdmitted, kInfo, "server listening on %s (max_inflight %d)",
+  SJ_EVENT(kMessage, kInfo, "server listening on %s (max_inflight %d)",
            options_.socket_path.c_str(), scheduler_.max_inflight());
   return Status::Ok();
 }
@@ -135,7 +135,7 @@ void Server::Stop() {
   ::close(listen_fd_);
   listen_fd_ = -1;
   ::unlink(options_.socket_path.c_str());
-  SJ_EVENT(kQueryFinished, kInfo, "server on %s stopped",
+  SJ_EVENT(kMessage, kInfo, "server on %s stopped",
            options_.socket_path.c_str());
 }
 

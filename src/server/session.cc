@@ -60,7 +60,7 @@ void Session::ServeLoop() {
   ActivityScope activity("server.session", "reader");
   activity.SetDetail(label);
   ServiceTelemetry::Global().OnSessionOpened();
-  SJ_EVENT(kQueryAdmitted, kInfo, "session%d opened", id_);
+  SJ_EVENT(kMessage, kInfo, "session%d opened", id_);
 
   FrameDecoder decoder;
   char buf[1 << 16];
@@ -86,7 +86,7 @@ void Session::ServeLoop() {
       // convention marks a connection-level protocol error.
       SendFrame(EncodeErrorReply(0, decoder.error()));
       ServiceTelemetry::Global().OnProtocolError();
-      SJ_EVENT(kQueryFinished, kWarn, "session%d dropped: %s", id_,
+      SJ_EVENT(kMessage, kWarn, "session%d dropped: %s", id_,
                decoder.error().message().c_str());
       break;
     }
@@ -113,8 +113,8 @@ void Session::ServeLoop() {
   // with EPIPE and mark write_failed_.
   ::shutdown(fd_, SHUT_RDWR);
   ServiceTelemetry::Global().OnSessionClosed();
-  SJ_EVENT(kQueryFinished, kInfo, "session%d closed (%zu queries orphaned)",
-           id_, orphans.size());
+  SJ_EVENT(kMessage, kInfo, "session%d closed (%zu queries orphaned)", id_,
+           orphans.size());
 }
 
 void Session::Shutdown() {

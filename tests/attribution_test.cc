@@ -28,8 +28,6 @@ namespace {
 using attribution::Charges;
 using attribution::ChargePagesHit;
 using attribution::ChargePagesRead;
-using attribution::ChargePairsExamined;
-using attribution::ChargeQualPairs;
 using attribution::CurrentCharges;
 using attribution::QueryCharges;
 using attribution::QueryChargeScope;
@@ -38,7 +36,7 @@ TEST(AttributionScope, HooksAreNoOpsWithoutAScope) {
   ASSERT_EQ(CurrentCharges(), nullptr);
   // Nothing to observe beyond "does not crash": no sink, no charge.
   ChargePagesRead();
-  ChargePairsExamined(100);
+  ChargePagesHit(100);
 
   QueryCharges charges;
   {
@@ -49,7 +47,7 @@ TEST(AttributionScope, HooksAreNoOpsWithoutAScope) {
   EXPECT_EQ(CurrentCharges(), nullptr);
   // The charge inside the scope landed; the ones outside did not.
   EXPECT_EQ(charges.Snapshot().pages_read, 1);
-  EXPECT_EQ(charges.Snapshot().pairs_examined, 0);
+  EXPECT_EQ(charges.Snapshot().pages_hit, 0);
 }
 
 TEST(AttributionScope, ScopesNestAndRestore) {
@@ -101,10 +99,8 @@ TEST(AttributionProperty, ExactAndNonLeakingAcrossWorkerCounts) {
         const int64_t n = 64 + 32 * q;  // per-query work items
         QueryChargeScope scope(sinks[static_cast<size_t>(q)].get());
         pool.ParallelFor(n, [](int64_t i) {
-          ChargePagesRead();
+          ChargePagesRead(i + 1);
           ChargePagesHit(2);
-          ChargePairsExamined(i + 1);
-          ChargeQualPairs(1);
         });
       });
     }
@@ -115,10 +111,8 @@ TEST(AttributionProperty, ExactAndNonLeakingAcrossWorkerCounts) {
       const Charges got = sinks[static_cast<size_t>(q)]->Snapshot();
       SCOPED_TRACE("workers=" + std::to_string(workers) +
                    " query=" + std::to_string(q));
-      EXPECT_EQ(got.pages_read, n);
+      EXPECT_EQ(got.pages_read, n * (n + 1) / 2);
       EXPECT_EQ(got.pages_hit, 2 * n);
-      EXPECT_EQ(got.pairs_examined, n * (n + 1) / 2);
-      EXPECT_EQ(got.qual_pairs, n);
       EXPECT_GE(got.queue_wait_ns, 0);
       EXPECT_GE(got.pool_tasks, 0);
     }
@@ -141,7 +135,7 @@ TEST(AttributionProperty, TaskGroupPropagatesAndCountsTasks) {
     exec::ThreadPool::TaskGroup inner(&pool);
     for (int i = 0; i < kOuter; ++i) {
       outer.Spawn([&inner, &pending_inner] {
-        ChargeQualPairs(1);
+        ChargePagesHit();
         for (int j = 0; j < kInnerPerOuter; ++j) {
           inner.Spawn([] { ChargePagesRead(); });
         }
@@ -154,7 +148,7 @@ TEST(AttributionProperty, TaskGroupPropagatesAndCountsTasks) {
   }
 
   const Charges got = charges.Snapshot();
-  EXPECT_EQ(got.qual_pairs, kOuter);
+  EXPECT_EQ(got.pages_hit, kOuter);
   EXPECT_EQ(got.pages_read, kOuter * kInnerPerOuter);
   // Every spawned task ran under the propagated sink and was counted
   // exactly once by the pool's wrapper.
@@ -174,7 +168,7 @@ TEST(AttributionProperty, IdleQueryIsChargedNothing) {
     QueryChargeScope scope(&busy);
     pool.ParallelFor(256, [](int64_t) {
       ChargePagesRead();
-      ChargePairsExamined(3);
+      ChargePagesHit(3);
     });
   });
   worker.join();
@@ -182,10 +176,9 @@ TEST(AttributionProperty, IdleQueryIsChargedNothing) {
   const Charges idle_got = idle.Snapshot();
   EXPECT_EQ(idle_got.pages_read, 0);
   EXPECT_EQ(idle_got.pages_hit, 0);
-  EXPECT_EQ(idle_got.pairs_examined, 0);
-  EXPECT_EQ(idle_got.qual_pairs, 0);
   EXPECT_EQ(idle_got.pool_tasks, 0);
   EXPECT_EQ(busy.Snapshot().pages_read, 256);
+  EXPECT_EQ(busy.Snapshot().pages_hit, 3 * 256);
 }
 
 // End-to-end through a real charging call site: BufferPool hit/miss

@@ -16,6 +16,7 @@
 #include "core/memory_gentree.h"
 #include "core/theta_ops.h"
 #include "geometry/rectangle.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "relational/value.h"
 #include "rtree/rtree.h"
@@ -82,8 +83,10 @@ TEST(AuditReportTest, JsonShape) {
   report.CountCheck();
   report.AddError("root", "bad \"quote\"");
   std::string json = report.ToJson();
-  EXPECT_NE(json.find("\"subject\": \"unit\""), std::string::npos);
-  EXPECT_NE(json.find("\"checks_run\": 1"), std::string::npos);
+  const JsonDocument doc = ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << doc.error;
+  EXPECT_EQ(doc.root.StringAt("subject"), "unit");
+  EXPECT_EQ(doc.root.IntAt("checks_run", -1), 1);
   EXPECT_NE(json.find("\\\"quote\\\""), std::string::npos);
 }
 

@@ -8,8 +8,8 @@
 #include "core/planner.h"
 #include "core/spatial_join.h"
 #include "core/theta_ops.h"
-#include "json_validator.h"
 #include "obs/explain.h"
+#include "obs/json.h"
 #include "obs/trace.h"
 #include "relational/relation.h"
 #include "rtree/rtree.h"
@@ -20,8 +20,6 @@
 
 namespace spatialjoin {
 namespace {
-
-using testing_json::IsValidJson;
 
 // Deterministic seeded workload: two 150-rectangle relations, R-tree
 // indexed, joined with the tree strategy under a trace. The explain
@@ -144,13 +142,13 @@ TEST_F(ExplainTest, JsonIsValidWithAndWithoutTrace) {
   QueryTrace trace("join", "explain test");
   ExplainReport with_trace = RunExplainedJoin(&trace);
   std::string json = with_trace.ToJson();
-  EXPECT_TRUE(IsValidJson(json)) << json;
+  EXPECT_TRUE(ParseJson(json).ok()) << json;
   EXPECT_NE(json.find("\"levels\""), std::string::npos);
 
   ExplainReport without_trace = RunExplainedJoin(nullptr);
   EXPECT_FALSE(without_trace.has_trace);
   std::string json2 = without_trace.ToJson();
-  EXPECT_TRUE(IsValidJson(json2)) << json2;
+  EXPECT_TRUE(ParseJson(json2).ok()) << json2;
   EXPECT_EQ(json2.find("\"levels\""), std::string::npos);
 }
 
@@ -188,7 +186,7 @@ TEST(ExplainResidualTest, ZeroPredictedZeroMeasuredIsOne) {
       ExplainAnalyzeJoin(JoinStrategy::kJoinIndex, plan, params,
                          MatchDistribution::kUniform, nonzero);
   EXPECT_TRUE(std::isinf(inf_report.Find("theta_evaluations")->residual));
-  EXPECT_TRUE(testing_json::IsValidJson(inf_report.ToJson()));
+  EXPECT_TRUE(ParseJson(inf_report.ToJson()).ok());
 }
 
 }  // namespace

@@ -24,10 +24,10 @@
 #include "common/check.h"
 #include "obs/event_log.h"
 #include "obs/flight_recorder.h"
+#include "obs/json.h"
 #include "obs/timer.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
-#include "json_validator.h"
 
 // Sanitizers install their own fatal-signal machinery and dislike
 // fork-in-threaded-process, so the subprocess crash tests step aside
@@ -200,8 +200,9 @@ TEST(FlightRecorderTest, ExplicitDumpIsSchemaValidAndSelfDescribing) {
 
   const std::string doc = ReadFileToString(path);
   ASSERT_FALSE(doc.empty());
-  EXPECT_TRUE(testing_json::IsValidJson(doc)) << doc.substr(0, 400);
-  EXPECT_NE(doc.find("\"flightdump_version\": 1"), std::string::npos);
+  const JsonDocument parsed = ParseJson(doc);
+  ASSERT_TRUE(parsed.ok()) << parsed.error << "\n" << doc.substr(0, 400);
+  EXPECT_EQ(parsed.root.IntAt("flightdump_version", -1), 1);
   EXPECT_NE(doc.find("\"kind\": \"explicit\""), std::string::npos);
   EXPECT_NE(doc.find("unit test"), std::string::npos);
   EXPECT_NE(doc.find("explicit-dump marker event"), std::string::npos);
@@ -241,7 +242,7 @@ TEST(FlightRecorderTest, BufferPoolFaultShowsUpInTheDump) {
 
   ASSERT_TRUE(FlightRecorder::Dump("explicit", "after fault"));
   const std::string doc = ReadFileToString(path);
-  EXPECT_TRUE(testing_json::IsValidJson(doc)) << doc.substr(0, 400);
+  EXPECT_TRUE(ParseJson(doc).ok()) << doc.substr(0, 400);
   EXPECT_NE(doc.find("\"type\": \"buffer_pool_fault\""), std::string::npos)
       << "dump should carry the injected flush failure";
   ::unlink(path.c_str());
@@ -289,7 +290,7 @@ TEST(FlightRecorderWatchdogTest, FlagsAStalledActivityAndDumps) {
 
   const std::string doc = ReadFileToString(path);
   ASSERT_FALSE(doc.empty());
-  EXPECT_TRUE(testing_json::IsValidJson(doc)) << doc.substr(0, 400);
+  EXPECT_TRUE(ParseJson(doc).ok()) << doc.substr(0, 400);
   EXPECT_NE(doc.find("\"detail\": \"stalled_heartbeat\""), std::string::npos);
   EXPECT_NE(doc.find("test.stall"), std::string::npos);
 
@@ -330,7 +331,7 @@ TEST(FlightRecorderWatchdogTest, FlagsAnOverDeadlineQuery) {
 
   const std::string doc = ReadFileToString(path);
   ASSERT_FALSE(doc.empty());
-  EXPECT_TRUE(testing_json::IsValidJson(doc)) << doc.substr(0, 400);
+  EXPECT_TRUE(ParseJson(doc).ok()) << doc.substr(0, 400);
   EXPECT_NE(doc.find("\"detail\": \"deadline_exceeded\""), std::string::npos);
   EXPECT_NE(doc.find("test.deadline"), std::string::npos);
   ::unlink(path.c_str());
@@ -377,7 +378,7 @@ TEST(FlightRecorderCrashTest, CheckFailureLeavesASchemaValidDump) {
 
   const std::string doc = ReadFileToString(path);
   ASSERT_FALSE(doc.empty()) << "child wrote no dump to " << path;
-  EXPECT_TRUE(testing_json::IsValidJson(doc)) << doc.substr(0, 400);
+  EXPECT_TRUE(ParseJson(doc).ok()) << doc.substr(0, 400);
   EXPECT_NE(doc.find("\"kind\": \"check_failure\""), std::string::npos);
   EXPECT_NE(doc.find("\"fatal\": true"), std::string::npos);
   EXPECT_NE(doc.find("deliberate test crash"), std::string::npos);
@@ -399,7 +400,7 @@ TEST(FlightRecorderCrashTest, FatalSignalLeavesASchemaValidDump) {
 
   const std::string doc = ReadFileToString(path);
   ASSERT_FALSE(doc.empty()) << "child wrote no dump to " << path;
-  EXPECT_TRUE(testing_json::IsValidJson(doc)) << doc.substr(0, 400);
+  EXPECT_TRUE(ParseJson(doc).ok()) << doc.substr(0, 400);
   EXPECT_NE(doc.find("\"kind\": \"signal\""), std::string::npos);
   EXPECT_NE(doc.find("SIGSEGV"), std::string::npos);
   EXPECT_NE(doc.find("\"fatal\": true"), std::string::npos);

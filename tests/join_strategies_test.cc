@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <set>
+#include <string>
 
 #include "core/index_nested_loop.h"
 #include "core/spatial_join.h"
+#include "obs/metrics.h"
 #include "rtree/rtree.h"
 #include "rtree/rtree_gentree.h"
 #include "storage/buffer_pool.h"
@@ -140,6 +144,36 @@ TEST_F(StrategiesTest, NormalizeMatchesSortsAndDedups) {
   EXPECT_EQ(result.matches,
             (std::vector<std::pair<TupleId, TupleId>>{
                 {0, 5}, {1, 1}, {2, 1}}));
+}
+
+// Each query charges its kind's count/matches and its strategy's counter
+// once; a strategy's counter registers on that strategy's first query.
+TEST_F(StrategiesTest, QueriesChargeKindAndStrategyCounters) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const std::map<std::string, int64_t> before = registry.CounterSnapshot();
+  OverlapsOp op;
+  const JoinResult tree = ExecuteJoin(JoinStrategy::kTreeJoin, ctx_, op);
+  const JoinResult nested = ExecuteJoin(JoinStrategy::kNestedLoop, ctx_, op);
+  const Value selector(Rectangle(100, 100, 300, 300));
+  const JoinResult select = ExecuteSelect(SelectStrategy::kExhaustive, ctx_,
+                                          selector, kInvalidTupleId, op);
+  ExecuteSelect(SelectStrategy::kExhaustive, ctx_, selector, kInvalidTupleId,
+                op);
+  const std::map<std::string, int64_t> after = registry.CounterSnapshot();
+  auto delta = [&](const std::string& name) {
+    return after.at(name) - (before.count(name) ? before.at(name) : 0);
+  };
+  EXPECT_EQ(delta("query.join.count"), 2);
+  EXPECT_EQ(delta("query.join.strategy.tree_join"), 1);
+  EXPECT_EQ(delta("query.join.strategy.nested_loop"), 1);
+  EXPECT_EQ(delta("query.join.matches"),
+            static_cast<int64_t>(tree.matches.size() + nested.matches.size()));
+  EXPECT_EQ(delta("query.select.count"), 2);
+  EXPECT_EQ(delta("query.select.strategy.exhaustive"), 2);
+  EXPECT_EQ(delta("query.select.matches"),
+            2 * static_cast<int64_t>(select.matches.size()));
+  // No test in this binary runs the pooled select.
+  EXPECT_EQ(after.count("query.select.strategy.parallel_tree_select"), 0u);
 }
 
 TEST_F(StrategiesTest, StrategyNamesAreStable) {

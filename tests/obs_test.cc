@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "json_validator.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
@@ -14,8 +15,6 @@
 
 namespace spatialjoin {
 namespace {
-
-using testing_json::IsValidJson;
 
 TEST(CounterTest, IncrementAndReset) {
   Counter c;
@@ -143,8 +142,10 @@ TEST(MetricsRegistryTest, JsonIsValidAndContainsInstruments) {
   reg.GetGauge("b.gauge")->Set(2.5);
   reg.GetHistogram("c.histogram")->Record(17);
   std::string json = reg.ToJson();
-  EXPECT_TRUE(IsValidJson(json)) << json;
-  EXPECT_NE(json.find("\"a.counter\": 3"), std::string::npos) << json;
+  const JsonDocument doc = ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << doc.error << "\n" << json;
+  // Registry keys contain dots, so they are members, not dotted paths.
+  EXPECT_EQ(doc.root.Member("counters")->Member("a.counter")->AsInt(), 3);
   EXPECT_NE(json.find("\"b.gauge\""), std::string::npos);
   EXPECT_NE(json.find("\"c.histogram\""), std::string::npos);
 }
@@ -170,9 +171,18 @@ TEST(JsonWriterTest, EscapesAndNesting) {
   w.EndArray();
   w.EndObject();
   std::string json = os.str();
-  EXPECT_TRUE(IsValidJson(json)) << json;
   EXPECT_NE(json.find("\\\""), std::string::npos);
   EXPECT_NE(json.find("\\n"), std::string::npos);
+  // The reader decodes what the writer escaped.
+  const JsonDocument doc = ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << doc.error << "\n" << json;
+  EXPECT_EQ(doc.root.StringAt("quote\"back\\slash"), "line\nbreak");
+  const std::vector<JsonValue>& nested = doc.root.Member("nested")->items();
+  ASSERT_EQ(nested.size(), 4u);
+  EXPECT_EQ(nested[0].AsInt(), 1);
+  EXPECT_EQ(nested[1].AsDouble(), 2.5);
+  EXPECT_TRUE(nested[2].boolean());
+  EXPECT_TRUE(nested[3].is_null());
 }
 
 TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {
@@ -183,7 +193,7 @@ TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {
   w.Double(std::numeric_limits<double>::quiet_NaN());
   w.EndArray();
   std::string json = os.str();
-  EXPECT_TRUE(IsValidJson(json)) << json;
+  EXPECT_TRUE(ParseJson(json).ok()) << json;
   EXPECT_EQ(json.find("inf"), std::string::npos);
   EXPECT_EQ(json.find("nan"), std::string::npos);
 }
@@ -226,7 +236,7 @@ TEST(QueryTraceTest, JsonIsValid) {
   trace.Level(0).worklist = 1;
   trace.Level(1).worklist = 12;
   std::string json = trace.ToJson();
-  EXPECT_TRUE(IsValidJson(json)) << json;
+  EXPECT_TRUE(ParseJson(json).ok()) << json;
   EXPECT_NE(json.find("\"tree_join\""), std::string::npos);
   EXPECT_NE(json.find("\"levels\""), std::string::npos);
 }
@@ -234,7 +244,78 @@ TEST(QueryTraceTest, JsonIsValid) {
 TEST(QueryTraceTest, EmptyTraceHasZeroHitRate) {
   QueryTrace trace("join");
   EXPECT_DOUBLE_EQ(trace.PoolHitRate(), 0.0);
-  EXPECT_TRUE(IsValidJson(trace.ToJson()));
+  EXPECT_TRUE(ParseJson(trace.ToJson()).ok());
+}
+
+TEST(JsonReaderTest, DecodesEscapesAndReadsIntegersExactly) {
+  const JsonDocument doc = ParseJson(
+      R"({"s": "a\"b\\/\u0041\u001f\u00e9\n", "big": 9007199254740993,
+          "min": -9223372036854775808, "frac": -12.5e2, "cut": -2.9,
+          "huge": 1e300, "flag": true, "none": null, "list": [1, "x"]})");
+  ASSERT_TRUE(doc.ok()) << doc.error;
+  const JsonValue& root = doc.root;
+  EXPECT_EQ(root.StringAt("s"), "a\"b\\/A\x1f?\n");
+  // 2^53 + 1: a double would read 9007199254740992.
+  EXPECT_EQ(root.IntAt("big"), int64_t{9007199254740993});
+  EXPECT_EQ(root.IntAt("min"), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(root.DoubleAt("frac"), -1250.0);
+  EXPECT_EQ(root.IntAt("cut"), -2);        // truncated toward zero
+  EXPECT_EQ(root.IntAt("huge", -1), -1);   // outside int64
+  EXPECT_TRUE(root.Member("flag")->boolean());
+  EXPECT_TRUE(root.Member("none")->is_null());
+  ASSERT_EQ(root.Member("list")->items().size(), 2u);
+  EXPECT_EQ(root.Member("list")->items()[1].str(), "x");
+}
+
+TEST(JsonReaderTest, DottedPathsFallBackForAbsentOrMistypedLeaves) {
+  const JsonDocument doc =
+      ParseJson(R"({"a": {"b": {"c": 7}, "s": "x"}, "a.b": 1})");
+  ASSERT_TRUE(doc.ok()) << doc.error;
+  EXPECT_EQ(doc.root.IntAt("a.b.c"), 7);
+  EXPECT_EQ(doc.root.IntAt("a.b.missing", -1), -1);
+  EXPECT_EQ(doc.root.IntAt("a.s", -1), -1);
+  EXPECT_EQ(doc.root.StringAt("a.s"), "x");
+  EXPECT_EQ(doc.root.StringAt("a.b", "?"), "?");
+  EXPECT_EQ(doc.root.Member("a.b")->AsInt(), 1);
+  EXPECT_EQ(doc.root.Member("a")->Member("missing"), nullptr);
+}
+
+TEST(JsonReaderTest, RejectsMalformedInputAtTheFirstBadByte) {
+  struct Case {
+    std::string text;
+    size_t offset;
+  };
+  const Case cases[] = {
+      {"{\"a\": [1, 2", 11},  // truncated
+      {"{\"a\": 1,}", 8},     // trailing comma
+      {"[1, 2,]", 6},
+      {"{} {}", 3},           // trailing content
+      {"\"a\nb\"", 2},        // unescaped control character
+      {"\"\\x\"", 1},         // bad escapes
+      {"\"\\u00g0\"", 1},
+      {"-", 1},               // malformed numbers
+      {"1.", 2},
+      {"1e", 2},
+      {"nul", 0},             // bad literal
+      {std::string(kJsonMaxDepth + 1, '[') +  // nested too deep
+           std::string(kJsonMaxDepth + 1, ']'),
+       kJsonMaxDepth},
+  };
+  for (const Case& c : cases) {
+    const JsonDocument doc = ParseJson(c.text);
+    EXPECT_FALSE(doc.ok()) << c.text;
+    EXPECT_EQ(doc.error_offset, c.offset) << c.text << ": " << doc.error;
+    EXPECT_TRUE(doc.root.is_null());
+  }
+  EXPECT_TRUE(ParseJson(std::string(kJsonMaxDepth, '[') +
+                        std::string(kJsonMaxDepth, ']'))
+                  .ok());
+
+  // A document cut off mid-write, the way a dying process leaves one.
+  MetricsRegistry reg;
+  reg.GetHistogram("h")->Record(5);
+  const std::string json = reg.ToJson();
+  EXPECT_FALSE(ParseJson(json.substr(0, json.size() / 2)).ok());
 }
 
 }  // namespace

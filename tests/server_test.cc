@@ -26,9 +26,10 @@
 #include "core/theta_ops.h"
 #include "exec/frozen_tree.h"
 #include "exec/thread_pool.h"
+#include "obs/event_log.h"
+#include "obs/json.h"
 #include "rtree/rtree.h"
 #include "rtree/rtree_gentree.h"
-#include "json_validator.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -467,27 +468,28 @@ TEST_F(ServerTest, StatsRoundTripReflectsTheWorkload) {
   // bookkeeping necessarily finishes, so "completed" may briefly trail
   // the 4 replies observed above: poll until it drains (bounded).
   std::string json;
+  JsonDocument stats;
   for (int attempt = 0; attempt < 200; ++attempt) {
-    Result<std::string> stats = client->Stats();
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    json = stats.value();
-    if (json.find("\"completed\": 4") != std::string::npos) break;
+    Result<std::string> reply = client->Stats();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    json = reply.value();
+    stats = ParseJson(json);
+    ASSERT_TRUE(stats.ok()) << stats.error << "\n" << json;
+    if (stats.root.IntAt("scheduler.completed") == 4) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_TRUE(testing_json::IsValidJson(json)) << json;
 
-  // Spot-check the load-bearing leaves without a full parser: exact
-  // key/value fragments of the serializer's stable formatting. The
-  // scheduler section is this server instance's own; registry-backed
+  // The scheduler section is this server instance's own; registry-backed
   // totals ("queries") are process-cumulative across the suite, so the
   // per-session aggregate — reset above — carries the exact ok count.
-  EXPECT_NE(json.find("\"stats_version\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"admitted\": 4"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"completed\": 4"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"inflight\": 0"), std::string::npos) << json;
-  const size_t per_session = json.find("\"per_session\"");
-  ASSERT_NE(per_session, std::string::npos);
-  EXPECT_NE(json.find("\"ok\": 4", per_session), std::string::npos) << json;
+  EXPECT_EQ(stats.root.IntAt("stats_version", -1), 1);
+  EXPECT_EQ(stats.root.IntAt("scheduler.admitted", -1), 4) << json;
+  EXPECT_EQ(stats.root.IntAt("scheduler.completed", -1), 4) << json;
+  EXPECT_EQ(stats.root.IntAt("scheduler.inflight", -1), 0) << json;
+  const JsonValue* per_session = stats.root.Member("per_session");
+  ASSERT_NE(per_session, nullptr);
+  ASSERT_EQ(per_session->items().size(), 1u) << json;
+  EXPECT_EQ(per_session->items()[0].IntAt("ok", -1), 4) << json;
   EXPECT_NE(json.find("\"slow_by_latency\""), std::string::npos);
   EXPECT_NE(json.find("\"tree_join\""), std::string::npos) << json;
 
@@ -495,7 +497,8 @@ TEST_F(ServerTest, StatsRoundTripReflectsTheWorkload) {
   // an admitted query, and repeated polls stay consistent.
   Result<std::string> again = client->Stats();
   ASSERT_TRUE(again.ok());
-  EXPECT_NE(again.value().find("\"admitted\": 4"), std::string::npos);
+  EXPECT_EQ(ParseJson(again.value()).root.IntAt("scheduler.admitted", -1),
+            4);
 }
 
 TEST_F(ServerTest, StatsWithPayloadIsRejected) {
@@ -539,6 +542,34 @@ TEST_F(ServerTest, StatsWithPayloadIsRejected) {
       DecodeReply(MessageType::kError, frame.request_id, frame.payload);
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply.value().error_code, StatusCode::kInvalidArgument);
+}
+
+TEST_F(ServerTest, LifecycleEventsAreNotLoggedAsQueryEvents) {
+  // A flight dump's event tail must not show query_admitted for a new
+  // connection: server and session lifecycle events are plain messages.
+  const uint64_t before = EventLog::Global().total();
+  StartServer({});
+  {
+    std::unique_ptr<ServiceClient> client = Connect();
+    EXPECT_TRUE(client->Ping().ok());
+  }
+  server_->Stop();  // joins the session reader, which logs the close
+  int lifecycle_messages = 0;
+  const std::vector<EventView> tail =
+      EventLog::Global().Tail(EventLog::kDefaultCapacity);
+  for (const EventView& e : tail) {
+    if (e.seq <= before) continue;
+    const bool names_lifecycle =
+        e.message.find("session") != std::string::npos ||
+        e.message.find("server") != std::string::npos;
+    if (e.type == EventType::kMessage && names_lifecycle) ++lifecycle_messages;
+    EXPECT_FALSE((e.type == EventType::kQueryAdmitted ||
+                  e.type == EventType::kQueryFinished) &&
+                 names_lifecycle)
+        << e.message;
+  }
+  // Listening, opened, closed, stopped.
+  EXPECT_EQ(lifecycle_messages, 4);
 }
 
 TEST_F(ServerTest, StopIsIdempotentAndRestartOnSamePathWorks) {

@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "json_validator.h"
+#include "obs/json.h"
 #include "obs/span.h"
 #include "obs/timer.h"
 #include "obs/trace_export.h"
@@ -25,8 +25,6 @@
 
 namespace spatialjoin {
 namespace {
-
-using testing_json::IsValidJson;
 
 // All tests share the process-wide tracing state: start from an empty,
 // enabled timeline and leave tracing off (the library default) behind.
@@ -172,7 +170,7 @@ TEST_F(SpanTest, ChromeTraceExportIsValidJson) {
   std::ostringstream out;
   WriteChromeTrace(out);
   std::string doc = out.str();
-  EXPECT_TRUE(IsValidJson(doc)) << doc.substr(0, 400);
+  EXPECT_TRUE(ParseJson(doc).ok()) << doc.substr(0, 400);
   // The three structural anchors a Chrome-trace consumer needs.
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(doc.find("\"thread_name\""), std::string::npos);
@@ -188,7 +186,7 @@ TEST_F(SpanTest, ChromeTraceExportOfEmptyRingSetIsValidMinimalJson) {
   std::ostringstream out;
   WriteChromeTrace(out);
   std::string doc = out.str();
-  EXPECT_TRUE(IsValidJson(doc)) << doc.substr(0, 400);
+  EXPECT_TRUE(ParseJson(doc).ok()) << doc.substr(0, 400);
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(doc.find("\"process\""), std::string::npos);
   EXPECT_EQ(doc.find("\"thread_name\""), std::string::npos)

@@ -12,16 +12,16 @@
 //   --once           print a single frame and exit (CI smoke mode)
 //   --snapshot=FILE  also write the raw STATS JSON of the last poll
 //
-// The reply schema is produced by ServiceTelemetry::WriteStatsJson; the
-// embedded parser below is deliberately tolerant — unknown keys are
-// ignored and absent ones render as zero — so sj_top from one build can
-// usually read a slightly newer server.
+// The reply schema is produced by ServiceTelemetry::WriteStatsJson. The
+// reply must be well-formed JSON (it is parsed with the reader in
+// obs/json.h), but its fields are read tolerantly — unknown keys are
+// ignored, absent numbers render as zero and absent strings as '?' — so
+// sj_top from one build can usually read a slightly newer server.
 
 #include <signal.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -29,11 +29,9 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <string_view>
 #include <thread>
-#include <utility>
-#include <vector>
 
+#include "obs/json.h"
 #include "obs/timer.h"
 #include "server/client.h"
 
@@ -68,223 +66,6 @@ bool BoolFlag(int argc, char** argv, const char* name) {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON document model (same shape as sj_inspect's; trimmed to
-// what reading a STATS reply needs).
-// ---------------------------------------------------------------------------
-
-struct Json {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<Json> array;
-  std::vector<std::pair<std::string, Json>> object;
-
-  bool is_number() const { return type == Type::kNumber; }
-  bool is_string() const { return type == Type::kString; }
-  bool is_array() const { return type == Type::kArray; }
-  bool is_object() const { return type == Type::kObject; }
-
-  const Json* Get(std::string_view key) const {
-    if (!is_object()) return nullptr;
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-
-  // Tolerant dotted-path lookups: absent anywhere along the path reads
-  // as the fallback, so a frame renders even if the server is newer or
-  // older than this binary.
-  int64_t Int(std::string_view path, int64_t fallback = 0) const {
-    const Json* node = Walk(path);
-    if (node == nullptr || node->type != Type::kNumber) return fallback;
-    return static_cast<int64_t>(node->number);
-  }
-
-  double Num(std::string_view path, double fallback = 0.0) const {
-    const Json* node = Walk(path);
-    if (node == nullptr || node->type != Type::kNumber) return fallback;
-    return node->number;
-  }
-
-  std::string Str(std::string_view path, std::string fallback = "?") const {
-    const Json* node = Walk(path);
-    if (node == nullptr || node->type != Type::kString) return fallback;
-    return node->string;
-  }
-
- private:
-  const Json* Walk(std::string_view path) const {
-    const Json* node = this;
-    while (!path.empty()) {
-      const size_t dot = path.find('.');
-      const std::string_view key =
-          dot == std::string_view::npos ? path : path.substr(0, dot);
-      node = node->Get(key);
-      if (node == nullptr) return nullptr;
-      path = dot == std::string_view::npos ? std::string_view()
-                                           : path.substr(dot + 1);
-    }
-    return node;
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  bool Parse(Json* out) {
-    SkipWs();
-    if (!Value(out, 0)) return false;
-    SkipWs();
-    return pos_ == text_.size();
-  }
-
- private:
-  static constexpr int kMaxDepth = 32;
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Eat(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool Literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool Value(Json* out, int depth) {
-    if (depth > kMaxDepth || pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{':
-        return Object(out, depth);
-      case '[':
-        return Array(out, depth);
-      case '"':
-        out->type = Json::Type::kString;
-        return String(&out->string);
-      case 't':
-        out->type = Json::Type::kBool;
-        out->boolean = true;
-        return Literal("true");
-      case 'f':
-        out->type = Json::Type::kBool;
-        out->boolean = false;
-        return Literal("false");
-      case 'n':
-        out->type = Json::Type::kNull;
-        return Literal("null");
-      default:
-        return Number(out);
-    }
-  }
-
-  bool Object(Json* out, int depth) {
-    out->type = Json::Type::kObject;
-    if (!Eat('{')) return false;
-    SkipWs();
-    if (Eat('}')) return true;
-    while (true) {
-      SkipWs();
-      std::string key;
-      if (!String(&key)) return false;
-      SkipWs();
-      if (!Eat(':')) return false;
-      SkipWs();
-      Json value;
-      if (!Value(&value, depth + 1)) return false;
-      out->object.emplace_back(std::move(key), std::move(value));
-      SkipWs();
-      if (Eat(',')) continue;
-      return Eat('}');
-    }
-  }
-
-  bool Array(Json* out, int depth) {
-    out->type = Json::Type::kArray;
-    if (!Eat('[')) return false;
-    SkipWs();
-    if (Eat(']')) return true;
-    while (true) {
-      SkipWs();
-      Json value;
-      if (!Value(&value, depth + 1)) return false;
-      out->array.push_back(std::move(value));
-      SkipWs();
-      if (Eat(',')) continue;
-      return Eat(']');
-    }
-  }
-
-  bool String(std::string* out) {
-    if (!Eat('"')) return false;
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return false;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'n': out->push_back('\n'); break;
-        case 't': out->push_back('\t'); break;
-        case 'r': out->push_back('\r'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'u':
-          // STATS strings are ASCII identifiers; a \u escape is decoded
-          // lossily to '?' rather than rejected.
-          if (text_.size() - pos_ < 4) return false;
-          pos_ += 4;
-          out->push_back('?');
-          break;
-        default:
-          return false;
-      }
-    }
-    return false;
-  }
-
-  bool Number(Json* out) {
-    const size_t start = pos_;
-    if (Eat('-')) {}
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    out->type = Json::Type::kNumber;
-    out->number = std::atof(std::string(text_.substr(start, pos_ - start)).c_str());
-    return true;
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // Rendering
 // ---------------------------------------------------------------------------
 
@@ -301,23 +82,25 @@ std::string FmtDuration(int64_t ns) {
   return buf;
 }
 
-void RenderSlowRing(const Json& stats, const char* key, const char* title) {
-  const Json* ring = stats.Get(key);
-  if (ring == nullptr || !ring->is_array() || ring->array.empty()) return;
+void RenderSlowRing(const JsonValue& stats, const char* key,
+                    const char* title) {
+  const JsonValue* ring = stats.Member(key);
+  if (ring == nullptr || !ring->is_array() || ring->items().empty()) return;
   std::printf("\n%s\n", title);
   std::printf("  %4s %6s %-6s %-22s %-9s %9s %8s %10s %9s\n", "sess", "req",
               "kind", "strategy", "outcome", "wall", "reads", "pairs",
               "residual");
-  for (const Json& rec : ring->array) {
+  for (const JsonValue& rec : ring->items()) {
     std::printf("  %4lld %6llu %-6s %-22s %-9s %9s %8lld %10lld %9.3f\n",
-                static_cast<long long>(rec.Int("session")),
-                static_cast<unsigned long long>(rec.Int("request_id")),
-                rec.Str("kind").c_str(), rec.Str("strategy").c_str(),
-                rec.Str("outcome").c_str(),
-                FmtDuration(rec.Int("wall_ns")).c_str(),
-                static_cast<long long>(rec.Int("pages_read")),
-                static_cast<long long>(rec.Int("pairs_examined")),
-                rec.Num("residual"));
+                static_cast<long long>(rec.IntAt("session")),
+                static_cast<unsigned long long>(rec.IntAt("request_id")),
+                rec.StringAt("kind", "?").c_str(),
+                rec.StringAt("strategy", "?").c_str(),
+                rec.StringAt("outcome", "?").c_str(),
+                FmtDuration(rec.IntAt("wall_ns")).c_str(),
+                static_cast<long long>(rec.IntAt("pages_read")),
+                static_cast<long long>(rec.IntAt("pairs_examined")),
+                rec.DoubleAt("residual"));
   }
 }
 
@@ -327,11 +110,11 @@ struct PollDelta {
   int64_t prev_ns = 0;
 };
 
-void RenderFrame(const Json& stats, const std::string& socket_path,
+void RenderFrame(const JsonValue& stats, const std::string& socket_path,
                  int64_t now_ns, PollDelta* delta, bool clear_screen) {
   if (clear_screen) std::fputs("\x1b[H\x1b[2J", stdout);
 
-  const int64_t completed = stats.Int("scheduler.completed");
+  const int64_t completed = stats.IntAt("scheduler.completed");
   double qps = -1.0;
   if (delta->have_prev && now_ns > delta->prev_ns) {
     qps = static_cast<double>(completed - delta->prev_completed) * 1e9 /
@@ -345,11 +128,11 @@ void RenderFrame(const Json& stats, const std::string& socket_path,
   std::printf(
       "scheduler   inflight %lld/%lld (peak %lld)   admitted %lld   "
       "rejected %lld   completed %lld\n",
-      static_cast<long long>(stats.Int("scheduler.inflight")),
-      static_cast<long long>(stats.Int("scheduler.max_inflight")),
-      static_cast<long long>(stats.Int("scheduler.peak_inflight")),
-      static_cast<long long>(stats.Int("scheduler.admitted")),
-      static_cast<long long>(stats.Int("scheduler.rejected")),
+      static_cast<long long>(stats.IntAt("scheduler.inflight")),
+      static_cast<long long>(stats.IntAt("scheduler.max_inflight")),
+      static_cast<long long>(stats.IntAt("scheduler.peak_inflight")),
+      static_cast<long long>(stats.IntAt("scheduler.admitted")),
+      static_cast<long long>(stats.IntAt("scheduler.rejected")),
       static_cast<long long>(completed));
 
   if (qps >= 0.0) {
@@ -361,35 +144,35 @@ void RenderFrame(const Json& stats, const std::string& socket_path,
   std::printf(
       "latency     last %s: %lld queries   p50 %s   p90 %s   p99 %s   "
       "mean %s\n",
-      FmtDuration(stats.Int("latency.window_ns")).c_str(),
-      static_cast<long long>(stats.Int("latency.count")),
-      FmtDuration(stats.Int("latency.p50_ns")).c_str(),
-      FmtDuration(stats.Int("latency.p90_ns")).c_str(),
-      FmtDuration(stats.Int("latency.p99_ns")).c_str(),
-      FmtDuration(stats.Int("latency.mean_ns")).c_str());
+      FmtDuration(stats.IntAt("latency.window_ns")).c_str(),
+      static_cast<long long>(stats.IntAt("latency.count")),
+      FmtDuration(stats.IntAt("latency.p50_ns")).c_str(),
+      FmtDuration(stats.IntAt("latency.p90_ns")).c_str(),
+      FmtDuration(stats.IntAt("latency.p99_ns")).c_str(),
+      FmtDuration(stats.IntAt("latency.mean_ns")).c_str());
   std::printf("queue wait  p50 %s   p99 %s\n",
-              FmtDuration(stats.Int("queue_wait.p50_ns")).c_str(),
-              FmtDuration(stats.Int("queue_wait.p99_ns")).c_str());
+              FmtDuration(stats.IntAt("queue_wait.p50_ns")).c_str(),
+              FmtDuration(stats.IntAt("queue_wait.p99_ns")).c_str());
   std::printf(
       "queries     ok %lld   stopped %lld   oversized %lld   "
       "cancel-requested %lld\n",
-      static_cast<long long>(stats.Int("queries.ok")),
-      static_cast<long long>(stats.Int("queries.stopped")),
-      static_cast<long long>(stats.Int("queries.oversized")),
-      static_cast<long long>(stats.Int("queries.cancel_requested")));
+      static_cast<long long>(stats.IntAt("queries.ok")),
+      static_cast<long long>(stats.IntAt("queries.stopped")),
+      static_cast<long long>(stats.IntAt("queries.oversized")),
+      static_cast<long long>(stats.IntAt("queries.cancel_requested")));
   std::printf(
       "sessions    open %lld (opened %lld)   protocol errors %lld   "
       "write failures %lld\n",
-      static_cast<long long>(stats.Int("sessions.open")),
-      static_cast<long long>(stats.Int("sessions.opened")),
-      static_cast<long long>(stats.Int("sessions.protocol_errors")),
-      static_cast<long long>(stats.Int("sessions.write_failures")));
+      static_cast<long long>(stats.IntAt("sessions.open")),
+      static_cast<long long>(stats.IntAt("sessions.opened")),
+      static_cast<long long>(stats.IntAt("sessions.protocol_errors")),
+      static_cast<long long>(stats.IntAt("sessions.write_failures")));
   std::printf("pool        workers %lld   submitted %lld   stolen %lld   "
               "queued %lld\n",
-              static_cast<long long>(stats.Int("pool.workers")),
-              static_cast<long long>(stats.Int("pool.tasks_submitted")),
-              static_cast<long long>(stats.Int("pool.tasks_stolen")),
-              static_cast<long long>(stats.Int("pool.tasks_queued")));
+              static_cast<long long>(stats.IntAt("pool.workers")),
+              static_cast<long long>(stats.IntAt("pool.tasks_submitted")),
+              static_cast<long long>(stats.IntAt("pool.tasks_stolen")),
+              static_cast<long long>(stats.IntAt("pool.tasks_queued")));
 
   RenderSlowRing(stats, "slow_by_latency", "slowest queries (last 60s)");
   RenderSlowRing(stats, "slow_by_residual",
@@ -438,13 +221,14 @@ int main(int argc, char** argv) {
                    reply.status().message().c_str());
       return 1;
     }
-    Json stats;
-    if (!Parser(reply.value()).Parse(&stats) || !stats.is_object()) {
-      std::fprintf(stderr, "sj_top: malformed STATS reply (%zu bytes)\n",
-                   reply.value().size());
+    const JsonDocument stats = ParseJson(reply.value());
+    if (!stats.ok() || !stats.root.is_object()) {
+      std::fprintf(stderr, "sj_top: malformed STATS reply (%zu bytes) %s\n",
+                   reply.value().size(), stats.error.c_str());
       return 1;
     }
-    RenderFrame(stats, socket_path, MonotonicNowNs(), &delta, clear_screen);
+    RenderFrame(stats.root, socket_path, MonotonicNowNs(), &delta,
+                clear_screen);
     if (snapshot_path != nullptr) {
       std::ofstream out(snapshot_path, std::ios::trunc);
       out << reply.value() << "\n";

@@ -8,15 +8,12 @@
 #include "exec/parallel_join.h"
 #include "obs/flight_recorder.h"
 #include "obs/span.h"
-#include "obs/timer.h"
 
 namespace spatialjoin {
 
 JoinResult TreeJoin(const GeneralizationTree& r_tree,
                     const GeneralizationTree& s_tree, const ThetaOperator& op,
-                    Traversal traversal, QueryTrace* trace,
-                    const exec::CancelToken* cancel) {
-  (void)traversal;  // JOIN4's internal passes are BFS; kept for symmetry.
+                    QueryTrace* trace, const exec::CancelToken* cancel) {
   // Two FrozenTrees take the flat kernel (exec/parallel_join.h): the same
   // matches, counters, trace and stop points without per-pair virtual
   // calls or allocation. Disk-backed trees and in-memory hierarchies stay
@@ -46,23 +43,12 @@ JoinResult TreeJoin(const GeneralizationTree& r_tree,
     ActivityScope::BeatThisThread();
     TraceCounter("join.qual_pairs",
                  static_cast<int64_t>(current_level.size()));
-    // Trace bookkeeping: snapshot counters at level entry, attribute the
-    // level's deltas on exit. The JOIN4 passes descend into deeper
-    // subtrees, but their cost is charged to the QualPairs level that
-    // triggered them — matching how the model charges the per-pair
-    // selection term to the pair's height (§4.4).
-    PoolSnapshot pool_before;
-    int64_t level_start_ns = 0;
-    int64_t theta_upper_before = 0;
-    int64_t theta_before = 0;
-    if (trace != nullptr) {
-      trace->Level(j).worklist +=
-          static_cast<int64_t>(current_level.size());
-      pool_before = PoolSnapshot::Take();
-      theta_upper_before = result.theta_upper_tests;
-      theta_before = result.theta_tests;
-      level_start_ns = MonotonicNowNs();
-    }
+    // The JOIN4 passes descend into deeper subtrees, but their cost is
+    // charged to the QualPairs level that triggered them — matching how
+    // the model charges the per-pair selection term to the pair's height
+    // (§4.4).
+    LevelTrace level_trace(trace, result.theta_upper_tests,
+                           result.theta_tests);
     int64_t level_pruned = 0;
     int64_t level_descended = 0;
 
@@ -77,19 +63,9 @@ JoinResult TreeJoin(const GeneralizationTree& r_tree,
       }
     }
 
-    if (trace != nullptr) {
-      TraceLevel& level = trace->Level(j);
-      level.theta_upper_tests += result.theta_upper_tests -
-                                 theta_upper_before;
-      level.theta_tests += result.theta_tests - theta_before;
-      level.pruned += level_pruned;
-      level.descended += level_descended;
-      PoolSnapshot pool_delta = PoolSnapshot::Take() - pool_before;
-      level.pool_hits += pool_delta.hits;
-      level.pool_misses += pool_delta.misses;
-      level.wall_ns +=
-          static_cast<double>(MonotonicNowNs() - level_start_ns);
-    }
+    level_trace.RecordLevel(j, static_cast<int64_t>(current_level.size()),
+                            result.theta_upper_tests, result.theta_tests,
+                            level_pruned, level_descended);
     current_level = std::move(next_level);
   }
   return result;

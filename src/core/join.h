@@ -43,7 +43,9 @@ struct JoinResult {
 /// When `trace` is non-null, each QualPairs level j contributes one trace
 /// level: worklist size (|QualPairs[j]|), Θ/θ tests (including the JOIN4
 /// selection passes triggered from that level), pairs pruned vs.
-/// descended at JOIN2, buffer-pool traffic, and wall-clock time.
+/// descended at JOIN2, the query's own buffer-pool traffic (LevelTrace),
+/// and wall-clock time. The traversal is breadth-first, JOIN4's passes
+/// included.
 ///
 /// `cancel` (optional) is polled at every QualPairs level boundary: a
 /// cancelled or over-deadline query stops before starting the next level
@@ -52,7 +54,6 @@ struct JoinResult {
 JoinResult TreeJoin(const GeneralizationTree& r_tree,
                     const GeneralizationTree& s_tree,
                     const ThetaOperator& op,
-                    Traversal traversal = Traversal::kBreadthFirst,
                     QueryTrace* trace = nullptr,
                     const exec::CancelToken* cancel = nullptr);
 

@@ -9,7 +9,6 @@
 #include "exec/parallel_select.h"
 #include "obs/flight_recorder.h"
 #include "obs/span.h"
-#include "obs/timer.h"
 
 namespace spatialjoin {
 
@@ -22,15 +21,11 @@ namespace {
 bool VisitNode(const Value& selector, const GeneralizationTree& tree,
                const ThetaOperator& op, NodeId node, SelectResult* result,
                QueryTrace* trace) {
-  TraceLevel* level = nullptr;
-  PoolSnapshot pool_before;
-  int64_t start_ns = 0;
-  if (trace != nullptr) {
-    level = &trace->Level(tree.HeightOf(node));
-    ++level->worklist;
-    pool_before = PoolSnapshot::Take();
-    start_ns = MonotonicNowNs();
-  }
+  // Read before the visit, so the height lookup's own page access stays
+  // out of the level's pool traffic.
+  const int height = trace != nullptr ? tree.HeightOf(node) : 0;
+  LevelTrace level_trace(trace, result->theta_upper_tests,
+                         result->theta_tests);
 
   ++result->theta_upper_tests;
   bool expand = op.ThetaUpper(selector.Mbr(), tree.MbrOf(node));
@@ -47,19 +42,9 @@ bool VisitNode(const Value& selector, const GeneralizationTree& tree,
     }
   }
 
-  if (level != nullptr) {
-    ++level->theta_upper_tests;
-    if (expand) {
-      ++level->theta_tests;
-      ++level->descended;
-    } else {
-      ++level->pruned;
-    }
-    PoolSnapshot pool_delta = PoolSnapshot::Take() - pool_before;
-    level->pool_hits += pool_delta.hits;
-    level->pool_misses += pool_delta.misses;
-    level->wall_ns += static_cast<double>(MonotonicNowNs() - start_ns);
-  }
+  level_trace.RecordLevel(height, 1, result->theta_upper_tests,
+                          result->theta_tests, expand ? 0 : 1,
+                          expand ? 1 : 0);
   return expand;
 }
 

@@ -16,7 +16,7 @@
 #include "exec/parallel_select.h"
 #include "exec/partitioned_join.h"
 #include "exec/thread_pool.h"
-#include "obs/event_log.h"
+#include "obs/attribution.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -83,8 +83,7 @@ JoinResult DispatchJoin(JoinStrategy strategy, const SpatialJoinContext& ctx,
     case JoinStrategy::kTreeJoin:
       SJ_CHECK_MSG(ctx.r_tree != nullptr && ctx.s_tree != nullptr,
                    "tree_join needs generalization trees on both inputs");
-      return TreeJoin(*ctx.r_tree, *ctx.s_tree, op, ctx.traversal,
-                      ctx.trace, ctx.cancel);
+      return TreeJoin(*ctx.r_tree, *ctx.s_tree, op, ctx.trace, ctx.cancel);
     case JoinStrategy::kIndexNestedLoop:
       SJ_CHECK_MSG(ctx.r_tree != nullptr && ctx.s != nullptr,
                    "index_nested_loop needs a tree on R and relation S");
@@ -138,17 +137,15 @@ JoinResult DispatchJoin(JoinStrategy strategy, const SpatialJoinContext& ctx,
 
 // One query kind's registry instruments, resolved on the kind's first
 // query rather than per query: each lookup takes the registry mutex and
-// builds a key string. A strategy's counter is still registered on that
-// strategy's first query, so the set of registered names is unchanged.
+// builds a key string. Strategy and early-stop counters are registered on
+// their first use, so the set of registered names is unchanged.
 struct QueryKindMetrics {
   static constexpr int kMaxStrategies = 8;
 
-  // `kind_name` is how events name the kind ("join"); `scope_name`
-  // ("query.join") prefixes the instruments and names the activity scope
-  // and span category, so it must be a static string.
-  QueryKindMetrics(const char* kind_name, const char* scope_name)
-      : kind(kind_name),
-        scope(scope_name),
+  // `scope_name` ("query.join") prefixes the instruments and names the
+  // activity scope and span category, so it must be a static string.
+  explicit QueryKindMetrics(const char* scope_name)
+      : scope(scope_name),
         count(MetricsRegistry::Global().GetCounter(Name("count"))),
         matches(MetricsRegistry::Global().GetCounter(Name("matches"))),
         wall_ns(MetricsRegistry::Global().GetHistogram(Name("wall_ns"))) {}
@@ -157,22 +154,25 @@ struct QueryKindMetrics {
     return std::string(scope) + "." + std::string(leaf);
   }
 
-  Counter* StrategyCounter(int id, const char* strategy) {
-    Counter* counter = strategies[id].load(std::memory_order_acquire);
+  // The counter cached in `slot`, registered as "<scope>.<group><leaf>"
+  // on first use.
+  Counter* Lazy(std::atomic<Counter*>* slot, const char* group,
+                const char* leaf) {
+    Counter* counter = slot->load(std::memory_order_acquire);
     if (counter == nullptr) {
-      counter = MetricsRegistry::Global().GetCounter(
-          Name(std::string("strategy.") + strategy));
-      strategies[id].store(counter, std::memory_order_release);
+      counter =
+          MetricsRegistry::Global().GetCounter(Name(std::string(group) + leaf));
+      slot->store(counter, std::memory_order_release);
     }
     return counter;
   }
 
-  const char* const kind;
   const char* const scope;
   Counter* const count;
   Counter* const matches;
   Histogram* const wall_ns;
   std::atomic<Counter*> strategies[kMaxStrategies] = {};
+  std::atomic<Counter*> stopped[2] = {};  // cancelled, deadline
 };
 
 // Every JoinStrategy and SelectStrategy (the last enumerators) has a slot.
@@ -181,18 +181,17 @@ static_assert(static_cast<int>(JoinStrategy::kPartitionedJoin) <
               static_cast<int>(SelectStrategy::kParallelTree) <
                   QueryKindMetrics::kMaxStrategies);
 
-// The per-query accounting ExecuteJoin and ExecuteSelect share, around
-// `dispatch` (the strategy's body): registry counters and wall time,
-// admitted/finished events, deadline arming, the activity scope and
-// span, early-stop accounting, and the trace summary.
+// The one per-query wrapper, for in-process and served queries alike,
+// around `dispatch` (the strategy's body): registry counters and wall
+// time, deadline arming, the query's one activity scope, span and charge
+// sink, early-stop counters and the trace summary. It records no event.
 template <typename Dispatch>
 JoinResult RunAccounted(QueryKindMetrics* metrics, int strategy_id,
                         const char* strategy, const SpatialJoinContext& ctx,
-                        const ThetaOperator& op, const Dispatch& dispatch) {
+                        const Dispatch& dispatch) {
   metrics->count->Increment();
-  metrics->StrategyCounter(strategy_id, strategy)->Increment();
-  SJ_EVENT(kQueryAdmitted, kInfo, "%s %s (op %s)", metrics->kind, strategy,
-           op.name().c_str());
+  metrics->Lazy(&metrics->strategies[strategy_id], "strategy.", strategy)
+      ->Increment();
   // With a token attached, the advisory budget becomes enforceable: arm
   // the token so the level loops actually stop at the deadline.
   if (ctx.cancel != nullptr && ctx.deadline_budget_ns > 0) {
@@ -202,29 +201,27 @@ JoinResult RunAccounted(QueryKindMetrics* metrics, int strategy_id,
   JoinResult result;
   double wall_ns = 0.0;
   {
+    // Exactly one charge sink: the caller's, or the query's own.
+    attribution::QueryCharges own;
+    attribution::QueryCharges* const caller = attribution::CurrentCharges();
+    attribution::QueryChargeScope charges(caller != nullptr ? caller : &own);
     // Strategy names are static strings, as SJ_SPAN (and ActivityScope)
     // names must be. The scope registers the query with the flight
     // recorder: level loops heartbeat it, the watchdog flags it if it
     // stalls or overruns ctx.deadline_budget_ns.
     ActivityScope activity(metrics->scope, strategy, ctx.deadline_budget_ns);
+    activity.SetDetail(ctx.activity_detail);
     ScopedSpan span(strategy, metrics->scope);
     ScopedTimer timer(metrics->wall_ns, &wall_ns);
     result = dispatch();
   }
   if (ctx.cancel != nullptr &&
       ctx.cancel->reason() != exec::StopReason::kNone) {
-    const bool deadline =
-        ctx.cancel->reason() == exec::StopReason::kDeadline;
-    MetricsRegistry::Global()
-        .GetCounter(metrics->Name(deadline ? "stopped.deadline"
-                                           : "stopped.cancelled"))
+    const bool deadline = ctx.cancel->reason() == exec::StopReason::kDeadline;
+    metrics->Lazy(&metrics->stopped[deadline ? 1 : 0], "stopped.",
+                  deadline ? "deadline" : "cancelled")
         ->Increment();
-    SJ_EVENT(kDeadlineExceeded, kWarn, "%s %s stopped early (%s)",
-             metrics->kind, strategy, deadline ? "deadline" : "cancel");
   }
-  SJ_EVENT(kQueryFinished, kInfo, "%s %s: %lld matches, %.2f ms",
-           metrics->kind, strategy,
-           static_cast<long long>(result.matches.size()), wall_ns / 1e6);
   metrics->matches->Increment(static_cast<int64_t>(result.matches.size()));
   if (ctx.trace != nullptr) {
     ctx.trace->set_strategy(strategy);
@@ -238,9 +235,9 @@ JoinResult RunAccounted(QueryKindMetrics* metrics, int strategy_id,
 
 JoinResult ExecuteJoin(JoinStrategy strategy, const SpatialJoinContext& ctx,
                        const ThetaOperator& op) {
-  static QueryKindMetrics metrics("join", "query.join");
+  static QueryKindMetrics metrics("query.join");
   return RunAccounted(&metrics, static_cast<int>(strategy),
-                      JoinStrategyName(strategy), ctx, op,
+                      JoinStrategyName(strategy), ctx,
                       [&] { return DispatchJoin(strategy, ctx, op); });
 }
 
@@ -318,9 +315,9 @@ JoinResult DispatchSelect(SelectStrategy strategy,
 JoinResult ExecuteSelect(SelectStrategy strategy,
                          const SpatialJoinContext& ctx, const Value& selector,
                          TupleId selector_tid, const ThetaOperator& op) {
-  static QueryKindMetrics metrics("select", "query.select");
+  static QueryKindMetrics metrics("query.select");
   return RunAccounted(&metrics, static_cast<int>(strategy),
-                      SelectStrategyName(strategy), ctx, op, [&] {
+                      SelectStrategyName(strategy), ctx, [&] {
                         return DispatchSelect(strategy, ctx, selector,
                                               selector_tid, op);
                       });

@@ -73,6 +73,9 @@ struct SpatialJoinContext {
   /// dump, and when `cancel` is set the dispatcher arms the token with
   /// this budget so the traversal actually stops (see below).
   int64_t deadline_budget_ns = 0;
+  /// Who asked ("sess3 req17"), shown as the detail of the query's
+  /// activity in flight dumps; may be null.
+  const char* activity_detail = nullptr;
   /// Optional cooperative cancellation/deadline token (exec/cancel.h).
   /// The tree-walking strategies poll it at their level boundaries and
   /// stop early when it fires; ExecuteJoin/ExecuteSelect then return the
@@ -89,7 +92,8 @@ struct SpatialJoinContext {
 ///
 /// Every execution emits into the global MetricsRegistry: query.join.count,
 /// query.join.strategy.<name>, query.join.matches, and the wall-clock
-/// histogram query.join.wall_ns.
+/// histogram query.join.wall_ns, and runs the query under one activity
+/// ("query.join"), one span and one charge sink (obs/attribution.h).
 JoinResult ExecuteJoin(JoinStrategy strategy, const SpatialJoinContext& ctx,
                        const ThetaOperator& op);
 

@@ -16,7 +16,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "obs/timer.h"
 
 namespace spatialjoin {
 namespace exec {
@@ -89,43 +88,6 @@ struct PairLevel {
 struct LevelTally {
   int64_t pruned = 0;
   int64_t descended = 0;
-};
-
-// One level's QueryTrace record, filled the way the generic TreeJoin and
-// SpatialSelect fill theirs: Θ/θ counts differenced across the level,
-// pool traffic from global snapshots, wall-clock time.
-class LevelTrace {
- public:
-  LevelTrace(QueryTrace* trace, int64_t theta_upper_tests, int64_t theta_tests)
-      : trace_(trace),
-        theta_upper_before_(theta_upper_tests),
-        theta_before_(theta_tests) {
-    if (trace_ == nullptr) return;
-    pool_before_ = PoolSnapshot::Take();
-    start_ns_ = MonotonicNowNs();
-  }
-
-  void Finish(int height, int64_t worklist, int64_t theta_upper_tests,
-              int64_t theta_tests, const LevelTally& tally) {
-    if (trace_ == nullptr) return;
-    TraceLevel& level = trace_->Level(height);
-    level.worklist += worklist;
-    level.theta_upper_tests += theta_upper_tests - theta_upper_before_;
-    level.theta_tests += theta_tests - theta_before_;
-    level.pruned += tally.pruned;
-    level.descended += tally.descended;
-    PoolSnapshot pool_delta = PoolSnapshot::Take() - pool_before_;
-    level.pool_hits += pool_delta.hits;
-    level.pool_misses += pool_delta.misses;
-    level.wall_ns += static_cast<double>(MonotonicNowNs() - start_ns_);
-  }
-
- private:
-  QueryTrace* trace_;
-  int64_t theta_upper_before_;
-  int64_t theta_before_;
-  PoolSnapshot pool_before_;
-  int64_t start_ns_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -435,15 +397,20 @@ JoinResult ParallelTreeJoin(const FrozenTree& r_tree, const FrozenTree& s_tree,
                   &tally);
     }
 
-    level_trace.Finish(j, current.pairs, result.theta_upper_tests,
-                       result.theta_tests, tally);
+    level_trace.RecordLevel(j, current.pairs, result.theta_upper_tests,
+                            result.theta_tests, tally.pruned,
+                            tally.descended);
     std::swap(current, next);
   }
 
   if (pooled) {
-    MetricsRegistry& registry = MetricsRegistry::Global();
-    registry.GetCounter("exec.parallel_join.runs")->Increment();
-    registry.GetCounter("exec.parallel_join.levels")->Increment(levels_run);
+    // Registered on the first pooled run, resolved once.
+    static Counter* const runs =
+        MetricsRegistry::Global().GetCounter("exec.parallel_join.runs");
+    static Counter* const levels =
+        MetricsRegistry::Global().GetCounter("exec.parallel_join.levels");
+    runs->Increment();
+    levels->Increment(levels_run);
   }
   return result;
 }
@@ -563,17 +530,20 @@ SelectResult ParallelSelect(const Value& selector, const FrozenTree& tree,
     const int64_t visited = result.theta_upper_tests - visited_before;
     const int64_t qualified = result.theta_tests - qualified_before;
     if (visited > 0) {
-      level_trace.Finish(tree.HeightAt(frontier.front().begin), visited,
-                         result.theta_upper_tests, result.theta_tests,
-                         {visited - qualified, qualified});
+      level_trace.RecordLevel(tree.HeightAt(frontier.front().begin), visited,
+                              result.theta_upper_tests, result.theta_tests,
+                              visited - qualified, qualified);
     }
     frontier.swap(next);
   }
 
   if (pooled) {
-    MetricsRegistry& registry = MetricsRegistry::Global();
-    registry.GetCounter("exec.parallel_select.runs")->Increment();
-    registry.GetCounter("exec.parallel_select.levels")->Increment(levels_run);
+    static Counter* const runs =
+        MetricsRegistry::Global().GetCounter("exec.parallel_select.runs");
+    static Counter* const levels =
+        MetricsRegistry::Global().GetCounter("exec.parallel_select.levels");
+    runs->Increment();
+    levels->Increment(levels_run);
   }
   return result;
 }

@@ -281,14 +281,20 @@ JoinResult PartitionedJoin(const std::vector<JoinItem>& r_items,
   }
   result.qual_pairs_examined = candidates;
 
+  // Registered on the first run, resolved once.
   MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.GetCounter("exec.partitioned_join.runs")->Increment();
-  registry.GetCounter("exec.partitioned_join.tiles")
-      ->Increment(grid.num_tiles());
-  registry.GetCounter("exec.partitioned_join.replicated_items")
-      ->Increment(replicated);
-  registry.GetCounter("exec.partitioned_join.candidates")
-      ->Increment(candidates);
+  static Counter* const runs =
+      registry.GetCounter("exec.partitioned_join.runs");
+  static Counter* const tiles =
+      registry.GetCounter("exec.partitioned_join.tiles");
+  static Counter* const replicated_items =
+      registry.GetCounter("exec.partitioned_join.replicated_items");
+  static Counter* const candidate_pairs =
+      registry.GetCounter("exec.partitioned_join.candidates");
+  runs->Increment();
+  tiles->Increment(grid.num_tiles());
+  replicated_items->Increment(replicated);
+  candidate_pairs->Increment(candidates);
   return result;
 }
 

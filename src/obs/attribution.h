@@ -9,12 +9,13 @@ namespace attribution {
 
 /// Per-query resource attribution (DESIGN.md §13).
 ///
-/// The engine's layers already emit page accesses and pair counts into
-/// the process-wide MetricsRegistry; those aggregates answer "what is the
-/// engine doing" but not "which query is doing it". Attribution closes
-/// that gap: the owner of a query installs a `QueryCharges` sink for the
-/// duration of the query body (QueryChargeScope), and every charge hook
-/// hit by any thread working *for that query* lands in the sink.
+/// The engine's layers already emit page accesses into the process-wide
+/// MetricsRegistry; those aggregates answer "what is the engine doing"
+/// but not "which query is doing it". Attribution closes that gap: every
+/// query runs under exactly one `QueryCharges` sink (QueryChargeScope),
+/// the caller's or, without one, its own (ExecuteJoin/ExecuteSelect),
+/// and every charge hook hit by any thread working *for that query*
+/// lands in the sink. Its QueryTrace levels difference it (LevelTrace).
 ///
 /// Propagation across the work-stealing pool is the load-bearing part:
 /// ThreadPool::Submit captures the submitting thread's current sink and
@@ -40,8 +41,6 @@ namespace attribution {
 struct Charges {
   int64_t pages_read = 0;     ///< buffer-pool misses (disk page reads)
   int64_t pages_hit = 0;      ///< buffer-pool hits
-  int64_t pairs_examined = 0; ///< Θ-filter pairs (theta_upper_tests)
-  int64_t qual_pairs = 0;     ///< QualPairs worklist entries examined
   int64_t queue_wait_ns = 0;  ///< summed pool-task submit→run waits
   int64_t pool_tasks = 0;     ///< pool tasks that ran under this sink
 };
@@ -57,12 +56,6 @@ class QueryCharges {
   void AddPagesHit(int64_t n) {
     pages_hit_.fetch_add(n, std::memory_order_relaxed);
   }
-  void AddPairsExamined(int64_t n) {
-    pairs_examined_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void AddQualPairs(int64_t n) {
-    qual_pairs_.fetch_add(n, std::memory_order_relaxed);
-  }
   void AddQueueWait(int64_t ns) {
     queue_wait_ns_.fetch_add(ns, std::memory_order_relaxed);
   }
@@ -72,8 +65,6 @@ class QueryCharges {
     Charges c;
     c.pages_read = pages_read_.load(std::memory_order_relaxed);
     c.pages_hit = pages_hit_.load(std::memory_order_relaxed);
-    c.pairs_examined = pairs_examined_.load(std::memory_order_relaxed);
-    c.qual_pairs = qual_pairs_.load(std::memory_order_relaxed);
     c.queue_wait_ns = queue_wait_ns_.load(std::memory_order_relaxed);
     c.pool_tasks = pool_tasks_.load(std::memory_order_relaxed);
     return c;
@@ -82,8 +73,6 @@ class QueryCharges {
  private:
   std::atomic<int64_t> pages_read_{0};
   std::atomic<int64_t> pages_hit_{0};
-  std::atomic<int64_t> pairs_examined_{0};
-  std::atomic<int64_t> qual_pairs_{0};
   std::atomic<int64_t> queue_wait_ns_{0};
   std::atomic<int64_t> pool_tasks_{0};
 };

@@ -14,12 +14,8 @@ SJ_SIGNAL_SAFE const char* EventTypeName(EventType type) {
   switch (type) {
     case EventType::kMessage:
       return "message";
-    case EventType::kQueryAdmitted:
-      return "query_admitted";
     case EventType::kQueryPlanned:
       return "query_planned";
-    case EventType::kQueryFinished:
-      return "query_finished";
     case EventType::kBufferPoolFault:
       return "buffer_pool_fault";
     case EventType::kStatusError:
@@ -164,10 +160,13 @@ namespace {
 
 // Routes non-OK Status constructions into the event log. kNotFound and
 // kAlreadyExists are expected control-flow answers (index probes, upsert
-// paths), not failures — recording them would rotate real errors out of
-// the ring.
+// paths), and kCancelled, kDeadlineExceeded and kResourceExhausted a
+// query's own outcome (counted in its QueryRecord), not failures —
+// recording them would rotate real errors out of the ring.
 void StatusErrorObserver(StatusCode code, const char* message) {
-  if (code == StatusCode::kNotFound || code == StatusCode::kAlreadyExists) {
+  if (code == StatusCode::kNotFound || code == StatusCode::kAlreadyExists ||
+      code == StatusCode::kCancelled || code == StatusCode::kDeadlineExceeded ||
+      code == StatusCode::kResourceExhausted) {
     return;
   }
   EventLog::Global().Recordf(EventType::kStatusError, EventSeverity::kInfo,

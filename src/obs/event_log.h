@@ -11,12 +11,13 @@
 namespace spatialjoin {
 
 /// Structured event log (DESIGN.md §10): a fixed-capacity lock-free ring
-/// of typed records, always compiled in. Library code reports noteworthy
-/// moments — a query admitted or finished, a fatal Status constructed, an
-/// audit violation, a buffer-pool flush failure — through SJ_EVENT
-/// instead of writing ad-hoc lines to stderr, so the last few thousand
-/// events are always available to the flight recorder's post-mortem dump
-/// (obs/flight_recorder.h) no matter how the process dies.
+/// of typed records, always compiled in. Library code reports rare,
+/// noteworthy moments — an error Status constructed, an audit violation,
+/// a buffer-pool flush failure — through SJ_EVENT instead of writing
+/// ad-hoc lines to stderr, so the last few thousand events are always
+/// available to the flight recorder's post-mortem dump
+/// (obs/flight_recorder.h) no matter how the process dies. A query
+/// records none, so load cannot rotate them out of the ring.
 ///
 /// Concurrency: multi-producer. A writer claims a slot with one
 /// fetch_add, fills the fields, and publishes by storing the record's
@@ -30,9 +31,7 @@ namespace spatialjoin {
 enum class EventType : uint8_t {
   /// Generic library diagnostic (the routed ex-stderr messages).
   kMessage = 0,
-  kQueryAdmitted,
   kQueryPlanned,
-  kQueryFinished,
   /// Storage-layer error surfaced by the buffer pool (failed flush,
   /// refused Clear, destructor write-back failure).
   kBufferPoolFault,
@@ -57,7 +56,7 @@ enum class EventType : uint8_t {
   kSlowQuery,
 };
 
-/// Stable lowercase name ("query_admitted", ...), for dumps and tools.
+/// Stable lowercase name ("status_error", ...), for dumps and tools.
 const char* EventTypeName(EventType type);
 
 enum class EventSeverity : uint8_t {
@@ -161,7 +160,7 @@ class EventLog {
       static_cast<uint8_t>(EventSeverity::kWarn)};
 };
 
-/// SJ_EVENT(kQueryFinished, kInfo, "join %s: %lld matches", name, n):
+/// SJ_EVENT(kAuditFinding, kWarn, "%s: %d violations", subject, n):
 /// records one structured event on the global log. Always compiled; cost
 /// is one clock read, one fetch_add, and one vsnprintf.
 #define SJ_EVENT(type, severity, ...)                       \

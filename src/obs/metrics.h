@@ -22,8 +22,8 @@ namespace spatialjoin {
 /// here, in addition to their existing per-instance stat structs
 /// (`IoStats`, `BufferPoolStats`, …), which remain the per-object views.
 /// The registry is the cross-cutting aggregate that benches serialize to
-/// `*.metrics.json` and that `QueryTrace` samples to attribute storage
-/// traffic to query levels.
+/// `*.metrics.json`; per-query views come from attribution
+/// (obs/attribution.h).
 ///
 /// Naming convention (dot-separated, lowercase):
 ///   storage.disk.page_reads / page_writes / pages_allocated

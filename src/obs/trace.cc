@@ -4,19 +4,8 @@
 #include <sstream>
 
 #include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace spatialjoin {
-
-PoolSnapshot PoolSnapshot::Take() {
-  // Pointers cached once: registration takes the registry mutex, reads are
-  // relaxed atomic loads — cheap enough to take per visited node.
-  static Counter* hits =
-      MetricsRegistry::Global().GetCounter("storage.buffer_pool.hits");
-  static Counter* misses =
-      MetricsRegistry::Global().GetCounter("storage.buffer_pool.misses");
-  return PoolSnapshot{hits->Value(), misses->Value()};
-}
 
 QueryTrace::QueryTrace(std::string kind, std::string detail)
     : kind_(std::move(kind)), detail_(std::move(detail)) {}

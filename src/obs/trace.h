@@ -6,22 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "obs/attribution.h"
+#include "obs/timer.h"
+
 namespace spatialjoin {
-
-/// Snapshot of the global buffer-pool counters, used to attribute storage
-/// traffic to a query (or to one level of it) by differencing. Valid under
-/// the engine's single-threaded query discipline (see BufferPool): between
-/// two snapshots taken by the running query, all pool traffic is its own.
-struct PoolSnapshot {
-  int64_t hits = 0;
-  int64_t misses = 0;
-
-  static PoolSnapshot Take();
-
-  PoolSnapshot operator-(const PoolSnapshot& o) const {
-    return PoolSnapshot{hits - o.hits, misses - o.misses};
-  }
-};
 
 /// Per-height observation of one executed query, mirroring the paper's
 /// per-level analysis: Algorithm SELECT's QualNodes[j] and Algorithm
@@ -99,6 +87,53 @@ class QueryTrace {
   double wall_ns_ = 0.0;
   int64_t matches_ = 0;
   std::vector<TraceLevel> levels_;
+};
+
+/// One level's QueryTrace record, filled the same way by every tree
+/// kernel (the generic JOIN and SELECT, the flat kernel): Θ/θ tests and
+/// the running query's own pool charges (obs/attribution.h) differenced
+/// across the level, and its wall time. Other queries charge their own
+/// sinks; outside any sink a level records no pool traffic. A null trace
+/// makes it a no-op.
+class LevelTrace {
+ public:
+  /// Takes the query's running Θ/θ totals at level entry.
+  LevelTrace(QueryTrace* trace, int64_t theta_upper_tests,
+             int64_t theta_tests)
+      : trace_(trace),
+        charges_(trace != nullptr ? attribution::CurrentCharges() : nullptr),
+        theta_upper_before_(theta_upper_tests),
+        theta_before_(theta_tests) {
+    if (trace_ == nullptr) return;
+    if (charges_ != nullptr) before_ = charges_->Snapshot();
+    start_ns_ = MonotonicNowNs();
+  }
+
+  /// Adds the level to trace level `height`, given the running totals now.
+  void RecordLevel(int height, int64_t worklist, int64_t theta_upper_tests,
+                   int64_t theta_tests, int64_t pruned, int64_t descended) {
+    if (trace_ == nullptr) return;
+    TraceLevel& level = trace_->Level(height);
+    level.worklist += worklist;
+    level.theta_upper_tests += theta_upper_tests - theta_upper_before_;
+    level.theta_tests += theta_tests - theta_before_;
+    level.pruned += pruned;
+    level.descended += descended;
+    if (charges_ != nullptr) {
+      const attribution::Charges now = charges_->Snapshot();
+      level.pool_hits += now.pages_hit - before_.pages_hit;
+      level.pool_misses += now.pages_read - before_.pages_read;
+    }
+    level.wall_ns += static_cast<double>(MonotonicNowNs() - start_ns_);
+  }
+
+ private:
+  QueryTrace* const trace_;
+  const attribution::QueryCharges* const charges_;
+  const int64_t theta_upper_before_;
+  const int64_t theta_before_;
+  attribution::Charges before_;
+  int64_t start_ns_ = 0;
 };
 
 }  // namespace spatialjoin

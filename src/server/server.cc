@@ -7,9 +7,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <thread>
 #include <utility>
 
+#include "common/analysis_annotations.h"
 #include "common/check.h"
 #include "obs/event_log.h"
 #include "obs/flight_recorder.h"
@@ -98,22 +101,54 @@ void Server::AcceptLoop() {
     activity.SetIdle(true);
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
       // Stop() shuts the listening socket down; accept then fails with
-      // EINVAL and the loop ends.
-      return;
+      // EINVAL, and only that ends the loop.
+      if (errno == EINVAL) return;
+      // Out of descriptors (EMFILE, ENFILE) or memory: the connection
+      // waits in the backlog while ending sessions free descriptors.
+      if (errno != EINTR) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      continue;
     }
     activity.Beat();
+    JoinFinishedReaders();
     Session::Context context;
     context.registry = &registry_;
     context.scheduler = &scheduler_;
     context.pool = pool_;
     context.default_deadline_ns = options_.default_deadline_ns;
-    auto session =
-        std::make_shared<Session>(fd, next_session_id_++, context);
-    sessions_.push_back(session);
-    reader_threads_.emplace_back(
-        [session = std::move(session)] { session->ServeLoop(); });
+    const int id = next_session_id_++;
+    MutexLock lock(readers_mu_);
+    Reader& reader = readers_[id];
+    reader.session = std::make_shared<Session>(fd, id, context);
+    reader.thread =
+        std::thread(&Server::RunReader, this, id, reader.session.get());
+  }
+}
+
+void Server::RunReader(int id, Session* session) {
+  session->ServeLoop();  // readers_ holds `session` until this erases it
+  Reader ended;
+  {
+    MutexLock lock(readers_mu_);
+    ended = std::move(readers_.extract(id).mapped());
+    finished_.push_back(std::move(ended.thread));
+  }
+  reader_exited_.NotifyAll();
+  // `ended` drops unlocked: unless a query still holds the session, its
+  // socket closes now.
+}
+
+void Server::JoinFinishedReaders() {
+  std::vector<std::thread> finished;
+  {
+    MutexLock lock(readers_mu_);
+    finished.swap(finished_);
+  }
+  for (std::thread& thread : finished) {
+    SJ_BOUNDED_WORK;  // readers whose sessions ended since the last call
+    thread.join();
   }
 }
 
@@ -122,15 +157,18 @@ void Server::Stop() {
   started_ = false;
 
   // Order matters: (1) no new connections, (2) unblock every reader —
-  // disconnect cancels their in-flight queries, (3) wait for the
-  // (now-cancelled) queries to leave the pool, (4) release the sessions.
+  // disconnect cancels their in-flight queries — and wait for each to
+  // drop its session, (3) wait for the (now-cancelled) queries, which
+  // hold the last session references, to leave the pool.
   ::shutdown(listen_fd_, SHUT_RDWR);
   accept_thread_.join();
-  for (auto& session : sessions_) session->Shutdown();
-  for (auto& thread : reader_threads_) thread.join();
+  {
+    MutexLock lock(readers_mu_);
+    for (auto& [id, reader] : readers_) reader.session->Shutdown();
+    while (!readers_.empty()) reader_exited_.Wait(readers_mu_);
+  }
+  JoinFinishedReaders();
   scheduler_.Drain();
-  sessions_.clear();  // last refs (barring client-held ones) close the fds
-  reader_threads_.clear();
 
   ::close(listen_fd_);
   listen_fd_ = -1;

@@ -5,9 +5,12 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "exec/frozen_tree.h"
 #include "exec/thread_pool.h"
 #include "server/dataset_registry.h"
@@ -25,12 +28,13 @@ namespace server {
 /// legal before Start — the registry is lock-free because it is immutable
 /// while serving.
 ///
-/// Threads: one accept thread, one reader thread per connection, and the
-/// caller-supplied work-stealing pool shared by *all* query execution
-/// (inter- and intra-query parallelism alike). The scheduler's admission
-/// bound is what keeps that sharing fair: at most `max_inflight` queries
-/// occupy the pool, everything beyond is rejected with a backpressure
-/// reply the moment it is decoded.
+/// Threads: one accept thread, one reader thread per live connection
+/// (joined once its session ends), and the caller-supplied work-stealing
+/// pool shared by *all* query execution (inter- and intra-query
+/// parallelism alike). The scheduler's admission bound is what keeps that
+/// sharing fair: at most `max_inflight` queries occupy the pool,
+/// everything beyond is rejected with a backpressure reply the moment it
+/// is decoded.
 class Server {
  public:
   struct Options {
@@ -67,7 +71,8 @@ class Server {
 
   /// Graceful shutdown: stop accepting, half-close every session (their
   /// readers exit; disconnect cancels the sessions' in-flight queries),
-  /// join all threads, drain the scheduler, remove the socket file.
+  /// join all threads, drain the scheduler, remove the socket file. The
+  /// only way the accept loop ends.
   void Stop();
 
   const std::string& socket_path() const { return options_.socket_path; }
@@ -79,6 +84,10 @@ class Server {
 
  private:
   void AcceptLoop();
+  /// Reader thread body: serves the session, then retires its entry.
+  void RunReader(int id, Session* session);
+  /// Joins the readers whose sessions have ended.
+  void JoinFinishedReaders();
 
   exec::ThreadPool* const pool_;
   Options options_;
@@ -88,11 +97,19 @@ class Server {
   int listen_fd_ = -1;
   bool started_ = false;
   std::thread accept_thread_;
-  // Written by the accept thread only; read by Stop() after joining it
-  // (the join is the synchronization edge), so no lock is needed.
-  std::vector<std::shared_ptr<Session>> sessions_;
-  std::vector<std::thread> reader_threads_;
-  int next_session_id_ = 0;
+  int next_session_id_ = 0;  // accept thread only
+
+  struct Reader {
+    std::shared_ptr<Session> session;
+    std::thread thread;
+  };
+  Mutex readers_mu_;
+  CondVar reader_exited_;
+  /// Live sessions by id. A reader erases its entry when its session
+  /// ends, dropping the server's reference (the socket closes once no
+  /// query holds the session), and parks its thread in finished_.
+  std::unordered_map<int, Reader> readers_ SJ_GUARDED_BY(readers_mu_);
+  std::vector<std::thread> finished_ SJ_GUARDED_BY(readers_mu_);
 };
 
 }  // namespace server

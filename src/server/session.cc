@@ -190,13 +190,10 @@ void Session::HandleSelect(uint64_t request_id, std::string_view payload) {
   const QueryInfo info{req.dataset_id, /*is_join=*/false,
                        SelectStrategyName(req.strategy)};
   AdmitQuery(request_id, info, token, deadline_ns,
-             [this, req, dataset, token, deadline_ns,
-              op = std::shared_ptr<ThetaOperator>(std::move(op).value())] {
-               SpatialJoinContext ctx;
+             [req, dataset,
+              op = std::shared_ptr<ThetaOperator>(std::move(op).value())](
+                 SpatialJoinContext& ctx) {
                ctx.s_tree = &dataset->s_tree;
-               ctx.exec_pool = context_.pool;
-               ctx.cancel = token.get();
-               ctx.deadline_budget_ns = deadline_ns;
                return ExecuteSelect(req.strategy, ctx, Value(req.selector),
                                     kInvalidTupleId, *op);
              });
@@ -235,14 +232,11 @@ void Session::HandleJoin(uint64_t request_id, std::string_view payload) {
   const QueryInfo info{req.dataset_id, /*is_join=*/true,
                        JoinStrategyName(req.strategy)};
   AdmitQuery(request_id, info, token, deadline_ns,
-             [this, req, dataset, token, deadline_ns,
-              op = std::shared_ptr<ThetaOperator>(std::move(op).value())] {
-               SpatialJoinContext ctx;
+             [req, dataset,
+              op = std::shared_ptr<ThetaOperator>(std::move(op).value())](
+                 SpatialJoinContext& ctx) {
                ctx.r_tree = &dataset->r_tree;
                ctx.s_tree = &dataset->s_tree;
-               ctx.exec_pool = context_.pool;
-               ctx.cancel = token.get();
-               ctx.deadline_budget_ns = deadline_ns;
                return ExecuteJoin(req.strategy, ctx, *op);
              });
 }
@@ -283,7 +277,7 @@ void Session::HandleStats(uint64_t request_id) {
 void Session::AdmitQuery(uint64_t request_id, const QueryInfo& info,
                          std::shared_ptr<exec::CancelToken> token,
                          int64_t deadline_ns,
-                         std::function<JoinResult()> run) {
+                         std::function<JoinResult(SpatialJoinContext&)> run) {
   bool inserted;
   {
     MutexLock lock(mu_);
@@ -303,36 +297,25 @@ void Session::AdmitQuery(uint64_t request_id, const QueryInfo& info,
   Status admitted = context_.scheduler->Submit(
       [self = shared_from_this(), request_id, info, token, deadline_ns,
        admit_ns, run = std::move(run)] {
-        // Each query is a watchdog-visible activity: the deadline the
-        // token enforces cooperatively is also armed here, so a query
-        // that *fails* to stop shows up as a deadline_exceeded event
-        // with a flight dump — the enforcement mechanism and its
-        // auditor are independent.
-        ActivityScope activity("server.query", "query", deadline_ns);
+        // ExecuteJoin/ExecuteSelect open the query's one activity (with
+        // this detail and the deadline) and span, and run it under this
+        // sink: every thread working for it charges `charges`.
         char detail[48];
         std::snprintf(detail, sizeof(detail), "sess%d req%llu", self->id_,
                       static_cast<unsigned long long>(request_id));
-        activity.SetDetail(detail);
-        ScopedSpan span("server.query", "server");
-        // Counter track in the timeline: which request this worker is
-        // serving, so a --trace capture is attributable query-by-query.
-        TraceCounter("server.request_id", static_cast<int64_t>(request_id));
-
-        // Attribution scope around the body: any thread that ends up
-        // working for this query — this worker, thieves, helping waiters
-        // — charges this sink (obs/attribution.h).
+        SpatialJoinContext ctx;
+        ctx.exec_pool = self->context_.pool;
+        ctx.cancel = token.get();
+        ctx.deadline_budget_ns = deadline_ns;
+        ctx.activity_detail = detail;
         attribution::QueryCharges charges;
         const int64_t start_ns = MonotonicNowNs();
         JoinResult result;
         {
           attribution::QueryChargeScope scope(&charges);
-          result = run();
+          result = run(ctx);
         }
         const int64_t end_ns = MonotonicNowNs();
-        // Pair counts come from the result at completion: exact by
-        // construction, and free on the per-pair hot path.
-        charges.AddPairsExamined(result.theta_upper_tests);
-        charges.AddQualPairs(result.qual_pairs_examined);
         const Status status = token->ToStatus();
         self->ForgetQuery(request_id);
 
@@ -349,7 +332,9 @@ void Session::AdmitQuery(uint64_t request_id, const QueryInfo& info,
         // pool task the query fanned out.
         record.queue_wait_ns =
             (start_ns - admit_ns) + record.charges.queue_wait_ns;
+        record.pairs_examined = result.theta_upper_tests;
         record.theta_tests = result.theta_tests;
+        record.qual_pairs = result.qual_pairs_examined;
         record.nodes_accessed = result.nodes_accessed;
         record.matches = static_cast<int64_t>(result.matches.size());
         record.residual =

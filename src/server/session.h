@@ -87,13 +87,15 @@ class Session : public std::enable_shared_from_this<Session> {
   void HandleStats(uint64_t request_id);
 
   /// Registers a pending query and admits it; on any failure the error
-  /// reply has already been sent. `run` is the strategy-specific body;
-  /// it returns the query's result so the completion path is shared —
-  /// which is also where attribution charges are collected and the
-  /// query's QueryRecord is retained by ServiceTelemetry.
+  /// reply has already been sent. `run` is the strategy-specific body:
+  /// it completes a context that carries the pool, token, deadline and
+  /// activity detail, and executes the query. The completion path is
+  /// shared — which is also where attribution charges are collected and
+  /// the query's QueryRecord is retained by ServiceTelemetry.
   void AdmitQuery(uint64_t request_id, const QueryInfo& info,
                   std::shared_ptr<exec::CancelToken> token,
-                  int64_t deadline_ns, std::function<JoinResult()> run);
+                  int64_t deadline_ns,
+                  std::function<JoinResult(SpatialJoinContext&)> run);
 
   /// Serialized, complete write of one reply frame; on the first failure
   /// the session goes write-dead and later replies are dropped (the

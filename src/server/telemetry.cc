@@ -204,7 +204,7 @@ void ServiceTelemetry::RecordQuery(const QueryRecord& record) {
       agg->wall_ns += record.wall_ns;
       agg->pages_read += record.charges.pages_read;
       agg->pages_hit += record.charges.pages_hit;
-      agg->pairs_examined += record.charges.pairs_examined;
+      agg->pairs_examined += record.pairs_examined;
       agg->matches += record.matches;
     };
     // Fold new keys into the overflow bucket (-1) once the maps are at
@@ -243,9 +243,9 @@ void ServiceTelemetry::WriteRecordJson(JsonWriter* w,
   w->KV("pool_tasks", r.charges.pool_tasks);
   w->KV("pages_read", r.charges.pages_read);
   w->KV("pages_hit", r.charges.pages_hit);
-  w->KV("pairs_examined", r.charges.pairs_examined);
+  w->KV("pairs_examined", r.pairs_examined);
   w->KV("theta_tests", r.theta_tests);
-  w->KV("qual_pairs", r.charges.qual_pairs);
+  w->KV("qual_pairs", r.qual_pairs);
   w->KV("nodes_accessed", r.nodes_accessed);
   w->KV("matches", r.matches);
   w->KV("residual", r.residual);

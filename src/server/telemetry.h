@@ -59,7 +59,10 @@ struct QueryRecord {
   int64_t wall_ns = 0;         ///< admit → completion
   int64_t queue_wait_ns = 0;   ///< admission wait + summed pool-task waits
   attribution::Charges charges;
+  // The query's own counts, from its JoinResult.
+  int64_t pairs_examined = 0;  ///< Θ-filter tests (theta_upper_tests)
   int64_t theta_tests = 0;     ///< exact-geometry tests actually run
+  int64_t qual_pairs = 0;      ///< QualPairs entries (qual_pairs_examined)
   int64_t nodes_accessed = 0;
   int64_t matches = 0;
   /// Measured / predicted exact-test work: theta_tests over the Θ-filter

@@ -11,9 +11,8 @@ namespace spatialjoin {
 
 namespace {
 
-// Registry mirrors of BufferPoolStats (aggregated across all pools);
-// QueryTrace::PoolSnapshot differences these to attribute traffic to
-// query levels.
+// Registry mirrors of BufferPoolStats (aggregated across all pools); the
+// running query's own share goes to its attribution sink.
 Counter* HitsCounter() {
   static Counter* c =
       MetricsRegistry::Global().GetCounter("storage.buffer_pool.hits");

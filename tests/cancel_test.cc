@@ -128,8 +128,7 @@ TEST_F(CancelExecutionTest, PreCancelledTreeJoinStopsBeforeAnyLevel) {
   exec::CancelToken token;
   token.Cancel();
   JoinResult stopped =
-      TreeJoin(*r_adapter_, *s_adapter_, op, Traversal::kBreadthFirst,
-               nullptr, &token);
+      TreeJoin(*r_adapter_, *s_adapter_, op, nullptr, &token);
   EXPECT_TRUE(stopped.matches.empty());
   EXPECT_EQ(stopped.qual_pairs_examined, 0);
   EXPECT_LT(stopped.nodes_accessed, full.nodes_accessed);
@@ -299,11 +298,10 @@ TEST_F(CancelExecutionTest, MidFlightCancelStopsAtALevelBoundary) {
     CancellingTheta generic_op(&op, &generic_token, after);
     CancellingTheta flat_op(&op, &flat_token, after);
     const JoinResult generic =
-        TreeJoin(*r_adapter_, *s_adapter_, generic_op,
-                 Traversal::kBreadthFirst, nullptr, &generic_token);
-    const JoinResult flat = TreeJoin(r_frozen, s_frozen, flat_op,
-                                     Traversal::kBreadthFirst, nullptr,
-                                     &flat_token);
+        TreeJoin(*r_adapter_, *s_adapter_, generic_op, nullptr,
+                 &generic_token);
+    const JoinResult flat =
+        TreeJoin(r_frozen, s_frozen, flat_op, nullptr, &flat_token);
     EXPECT_EQ(flat.matches, generic.matches) << "join, after " << after;
     EXPECT_EQ(flat.qual_pairs_examined, generic.qual_pairs_examined)
         << "join, after " << after;

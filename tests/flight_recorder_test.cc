@@ -78,7 +78,7 @@ void InstallForTest(const std::string& path, bool watchdog = false,
 TEST(EventLogTest, RecordAndTailRoundTrip) {
   EventLog log(16);
   log.Record(EventType::kMessage, EventSeverity::kInfo, "plain");
-  log.Recordf(EventType::kQueryFinished, EventSeverity::kWarn,
+  log.Recordf(EventType::kSlowQuery, EventSeverity::kWarn,
               "join %s: %d matches", "tree_join", 7);
   std::vector<EventView> tail = log.Tail(16);
   ASSERT_EQ(tail.size(), 2u);
@@ -88,6 +88,8 @@ TEST(EventLogTest, RecordAndTailRoundTrip) {
   EXPECT_EQ(tail[0].message, "plain");
   EXPECT_GT(tail[0].ts_ns, 0);
   EXPECT_EQ(tail[1].seq, 2u);
+  EXPECT_EQ(tail[1].type, EventType::kSlowQuery);
+  EXPECT_EQ(tail[1].severity, EventSeverity::kWarn);
   EXPECT_EQ(tail[1].message, "join tree_join: 7 matches");
   EXPECT_GE(tail[1].ts_ns, tail[0].ts_ns);
 }

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "core/index_nested_loop.h"
 #include "core/spatial_join.h"
+#include "exec/cancel.h"
+#include "exec/frozen_tree.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rtree/rtree.h"
 #include "rtree/rtree_gentree.h"
 #include "storage/buffer_pool.h"
@@ -174,6 +180,112 @@ TEST_F(StrategiesTest, QueriesChargeKindAndStrategyCounters) {
             2 * static_cast<int64_t>(select.matches.size()));
   // No test in this binary runs the pooled select.
   EXPECT_EQ(after.count("query.select.strategy.parallel_tree_select"), 0u);
+}
+
+// In-process queries record no event-log entry, whether they finish, are
+// cancelled, or stop at their deadline — also when the caller reads the
+// stop as a Status, as the query service does.
+TEST_F(StrategiesTest, QueriesRecordNoEvents) {
+  OverlapsOp op;
+  const Value selector(Rectangle(100, 100, 300, 300));
+  const uint64_t before = EventLog::Global().total();
+  ExecuteJoin(JoinStrategy::kTreeJoin, ctx_, op);
+  ExecuteSelect(SelectStrategy::kTree, ctx_, selector, kInvalidTupleId, op);
+
+  SpatialJoinContext ctx = ctx_;
+  exec::CancelToken cancelled;
+  cancelled.Cancel();
+  ctx.cancel = &cancelled;
+  ExecuteJoin(JoinStrategy::kTreeJoin, ctx, op);
+  ExecuteSelect(SelectStrategy::kTree, ctx, selector, kInvalidTupleId, op);
+  EXPECT_EQ(cancelled.ToStatus().code(), StatusCode::kCancelled);
+
+  ctx.deadline_budget_ns = 1;  // expires before the first level boundary
+  exec::CancelToken late_join;
+  ctx.cancel = &late_join;
+  ExecuteJoin(JoinStrategy::kTreeJoin, ctx, op);
+  EXPECT_EQ(late_join.ToStatus().code(), StatusCode::kDeadlineExceeded);
+  exec::CancelToken late_select;
+  ctx.cancel = &late_select;
+  ExecuteSelect(SelectStrategy::kTree, ctx, selector, kInvalidTupleId, op);
+  EXPECT_EQ(late_select.ToStatus().code(), StatusCode::kDeadlineExceeded);
+
+  EXPECT_EQ(EventLog::Global().total(), before);
+}
+
+// A traced disk-backed join's levels carry exactly the buffer-pool
+// traffic the join caused.
+TEST_F(StrategiesTest, TracedJoinLevelsCarryItsPoolTraffic) {
+  OverlapsOp op;
+  ASSERT_TRUE(pool_.Clear().ok());  // cold: misses as well as hits
+  const BufferPoolStats before = pool_.stats();
+  QueryTrace trace("join");
+  SpatialJoinContext ctx = ctx_;
+  ctx.trace = &trace;
+  ExecuteJoin(JoinStrategy::kTreeJoin, ctx, op);
+  const BufferPoolStats after = pool_.stats();
+  EXPECT_GT(after.misses, before.misses);
+  EXPECT_EQ(trace.TotalPoolHits(), after.hits - before.hits);
+  EXPECT_EQ(trace.TotalPoolMisses(), after.misses - before.misses);
+}
+
+// A FrozenTree join does no pool I/O, so none of its traced levels shows
+// any — even while another thread runs disk-backed joins on a pool of its
+// own, whose traffic moves the process-wide pool counters meanwhile.
+TEST_F(StrategiesTest, FrozenJoinLevelsIgnoreConcurrentPoolTraffic) {
+  const exec::FrozenTree r_frozen = exec::FrozenTree::Materialize(*r_adapter_);
+  const exec::FrozenTree s_frozen = exec::FrozenTree::Materialize(*s_adapter_);
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> other_joins{0};
+  std::thread other([&] {
+    // A storage stack of its own: the storage layer is single-threaded.
+    DiskManager disk(2000);
+    BufferPool pool(&disk, 16);
+    Schema schema({{"id", ValueType::kInt64},
+                   {"box", ValueType::kRectangle}});
+    Relation r("r", schema, &pool);
+    Relation s("s", schema, &pool);
+    RTree r_rtree(&pool, RTreeSplit::kQuadratic, 8);
+    RTree s_rtree(&pool, RTreeSplit::kQuadratic, 8);
+    RectGenerator gen_r(world_, 31);
+    RectGenerator gen_s(world_, 32);
+    for (int64_t i = 0; i < 150; ++i) {
+      Rectangle box_r = gen_r.NextRect(2, 30);
+      Rectangle box_s = gen_s.NextRect(2, 30);
+      r_rtree.Insert(box_r, r.Insert(Tuple({Value(i), Value(box_r)})));
+      s_rtree.Insert(box_s, s.Insert(Tuple({Value(i), Value(box_s)})));
+    }
+    RTreeGenTree r_adapter(&r_rtree, &r, 1);
+    RTreeGenTree s_adapter(&s_rtree, &s, 1);
+    SpatialJoinContext ctx;
+    ctx.r_tree = &r_adapter;
+    ctx.s_tree = &s_adapter;
+    OverlapsOp op;
+    while (!stop.load()) {
+      ExecuteJoin(JoinStrategy::kTreeJoin, ctx, op);
+      other_joins.fetch_add(1);
+    }
+  });
+  while (other_joins.load() == 0) std::this_thread::yield();
+
+  OverlapsOp op;
+  SpatialJoinContext ctx;
+  ctx.r_tree = &r_frozen;
+  ctx.s_tree = &s_frozen;
+  for (int q = 0; q < 50; ++q) {
+    QueryTrace trace("join");
+    ctx.trace = &trace;
+    ExecuteJoin(JoinStrategy::kTreeJoin, ctx, op);
+    ASSERT_GT(trace.levels().size(), 1u);
+    for (const TraceLevel& level : trace.levels()) {
+      EXPECT_EQ(level.pool_hits, 0) << "query " << q << ", height "
+                                    << level.height;
+      EXPECT_EQ(level.pool_misses, 0) << "query " << q << ", height "
+                                      << level.height;
+    }
+  }
+  stop.store(true);
+  other.join();
 }
 
 TEST_F(StrategiesTest, StrategyNamesAreStable) {

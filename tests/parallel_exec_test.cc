@@ -238,9 +238,8 @@ int64_t ExpectFlatJoinIsExact(const GeneralizationTree& r_src,
   int64_t tasks = 0;
   for (const NamedOp& entry : Table1Operators()) {
     QueryTrace generic_trace("join");
-    const JoinResult generic = TreeJoin(r_src, s_src, *entry.op,
-                                        Traversal::kBreadthFirst,
-                                        &generic_trace);
+    const JoinResult generic =
+        TreeJoin(r_src, s_src, *entry.op, &generic_trace);
     for (int width : kPoolWidths) {
       const std::string where = Where(label, *entry.op, width);
       std::unique_ptr<exec::ThreadPool> workers = PoolOfWidth(width);
@@ -340,7 +339,7 @@ TEST_F(ParallelExecTest, ParallelTreeJoinIsByteIdenticalToSequential) {
   ASSERT_TRUE(r_hier->ValidateContainment());
   ASSERT_TRUE(s_hier->ValidateContainment());
   QueryTrace shape("join");
-  TreeJoin(*r_hier, *s_hier, OverlapsOp(), Traversal::kBreadthFirst, &shape);
+  TreeJoin(*r_hier, *s_hier, OverlapsOp(), &shape);
   ASSERT_EQ(shape.levels().size(), 5u);
   EXPECT_GT(shape.levels()[3].worklist, 4096);
   EXPECT_GT(ExpectFlatJoinIsExact(*r_hier, *s_hier, "hierarchies"), 0);

@@ -8,14 +8,23 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <errno.h>
+#include <fcntl.h>
+#include <stdlib.h>
 #include <string.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <fstream>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -27,6 +36,7 @@
 #include "exec/frozen_tree.h"
 #include "exec/thread_pool.h"
 #include "obs/event_log.h"
+#include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "rtree/rtree.h"
 #include "rtree/rtree_gentree.h"
@@ -90,6 +100,68 @@ JoinRequest OverlapJoin(uint32_t dataset_id) {
   request.op_code = static_cast<uint8_t>(WireOp::kOverlaps);
   return request;
 }
+
+// Descriptors this process has open (plus a constant: the directory's
+// own entries and descriptor).
+int OpenDescriptorCount() {
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return -1;
+  int count = 0;
+  while (::readdir(dir) != nullptr) ++count;
+  ::closedir(dir);
+  return count;
+}
+
+// A raw connection whose receives time out, so a server that never
+// answers fails the caller instead of hanging it.
+class TimedConnection {
+ public:
+  TimedConnection(const std::string& socket_path, int timeout_ms)
+      : fd_(::socket(AF_UNIX, SOCK_STREAM, 0)) {
+    if (fd_ < 0) return;
+    timeval timeout{timeout_ms / 1000, (timeout_ms % 1000) * 1000};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    ::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+    connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr)) == 0;
+  }
+  ~TimedConnection() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  bool SendPing(uint64_t request_id) {
+    const std::string frame = EncodePing(request_id);
+    return connected_ && ::send(fd_, frame.data(), frame.size(),
+                                MSG_NOSIGNAL) ==
+                             static_cast<ssize_t>(frame.size());
+  }
+
+  // True when the pong for `request_id` arrives before a receive times
+  // out.
+  bool AwaitPong(uint64_t request_id) {
+    Frame frame;
+    char buf[256];
+    while (!decoder_.Next(&frame)) {
+      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n <= 0) return false;
+      if (!decoder_.Feed(std::string_view(buf, static_cast<size_t>(n)))
+               .ok()) {
+        return false;
+      }
+    }
+    return frame.type == static_cast<uint8_t>(MessageType::kPong) &&
+           frame.request_id == request_id;
+  }
+
+  bool Ping() { return SendPing(1) && AwaitPong(1); }
+
+ private:
+  const int fd_;
+  bool connected_ = false;
+  FrameDecoder decoder_;
+};
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -454,15 +526,19 @@ TEST_F(ServerTest, StatsRoundTripReflectsTheWorkload) {
   StartServer({});
   std::unique_ptr<ServiceClient> client = Connect();
 
+  int64_t pairs_examined = 0;
   for (int i = 0; i < 3; ++i) {
     Result<Reply> reply =
         client->Select(OverlapSelect(0, Rectangle(100, 100, 400, 400)));
     ASSERT_TRUE(reply.ok());
     ASSERT_EQ(reply.value().type, MessageType::kResult);
+    pairs_examined += reply.value().result.theta_upper_tests;
   }
   Result<Reply> join_reply = client->Join(OverlapJoin(0));
   ASSERT_TRUE(join_reply.ok());
   ASSERT_EQ(join_reply.value().type, MessageType::kResult);
+  const JoinResult& joined = join_reply.value().result;
+  pairs_examined += joined.theta_upper_tests;
 
   // A reply reaches the client before the scheduler's completion
   // bookkeeping necessarily finishes, so "completed" may briefly trail
@@ -490,6 +566,19 @@ TEST_F(ServerTest, StatsRoundTripReflectsTheWorkload) {
   ASSERT_NE(per_session, nullptr);
   ASSERT_EQ(per_session->items().size(), 1u) << json;
   EXPECT_EQ(per_session->items()[0].IntAt("ok", -1), 4) << json;
+  // Pair counts are the results' own fields.
+  EXPECT_EQ(per_session->items()[0].IntAt("pairs_examined", -1),
+            pairs_examined);
+  const JsonValue* recent = stats.root.Member("recent");
+  ASSERT_NE(recent, nullptr);
+  ASSERT_EQ(recent->items().size(), 4u) << json;
+  const JsonValue& join_record = recent->items().back();
+  EXPECT_EQ(join_record.StringAt("kind"), "join");
+  EXPECT_EQ(join_record.IntAt("pairs_examined", -1),
+            joined.theta_upper_tests);
+  EXPECT_EQ(join_record.IntAt("qual_pairs", -1), joined.qual_pairs_examined);
+  EXPECT_EQ(join_record.IntAt("theta_tests", -1), joined.theta_tests);
+  EXPECT_EQ(join_record.IntAt("nodes_accessed", -1), joined.nodes_accessed);
   EXPECT_NE(json.find("\"slow_by_latency\""), std::string::npos);
   EXPECT_NE(json.find("\"tree_join\""), std::string::npos) << json;
 
@@ -545,8 +634,8 @@ TEST_F(ServerTest, StatsWithPayloadIsRejected) {
 }
 
 TEST_F(ServerTest, LifecycleEventsAreNotLoggedAsQueryEvents) {
-  // A flight dump's event tail must not show query_admitted for a new
-  // connection: server and session lifecycle events are plain messages.
+  // Server and session lifecycle events are plain messages, so a flight
+  // dump's event tail never shows a connection as a query event.
   const uint64_t before = EventLog::Global().total();
   StartServer({});
   {
@@ -562,11 +651,9 @@ TEST_F(ServerTest, LifecycleEventsAreNotLoggedAsQueryEvents) {
     const bool names_lifecycle =
         e.message.find("session") != std::string::npos ||
         e.message.find("server") != std::string::npos;
-    if (e.type == EventType::kMessage && names_lifecycle) ++lifecycle_messages;
-    EXPECT_FALSE((e.type == EventType::kQueryAdmitted ||
-                  e.type == EventType::kQueryFinished) &&
-                 names_lifecycle)
-        << e.message;
+    if (!names_lifecycle) continue;
+    EXPECT_EQ(e.type, EventType::kMessage) << e.message;
+    if (e.type == EventType::kMessage) ++lifecycle_messages;
   }
   // Listening, opened, closed, stopped.
   EXPECT_EQ(lifecycle_messages, 4);
@@ -592,6 +679,227 @@ TEST_F(ServerTest, StopIsIdempotentAndRestartOnSamePathWorks) {
       ServiceClient::Connect(second.socket_path());
   ASSERT_TRUE(client.ok());
   EXPECT_TRUE(client.value()->Ping().ok());
+}
+
+TEST_F(ServerTest, ClosedSessionsReleaseTheirDescriptors) {
+  StartServer({});
+  {
+    TimedConnection first(server_->socket_path(), 5000);
+    ASSERT_TRUE(first.Ping());
+  }
+  const int before = OpenDescriptorCount();
+  ASSERT_GT(before, 0);
+  for (int cycle = 0; cycle < 2000; ++cycle) {
+    TimedConnection connection(server_->socket_path(), 5000);
+    ASSERT_TRUE(connection.Ping()) << "cycle " << cycle;
+  }
+  // Readers see the last closes asynchronously; give them a moment.
+  int after = OpenDescriptorCount();
+  for (int wait = 0; wait < 200 && after > before + 4; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = OpenDescriptorCount();
+  }
+  EXPECT_LE(after, before + 4);
+  TimedConnection last(server_->socket_path(), 5000);
+  EXPECT_TRUE(last.Ping());
+}
+
+#if defined(__SANITIZE_THREAD__)
+#define SJ_UNDER_TSAN 1
+#endif
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SJ_UNDER_TSAN 1
+#endif
+#endif
+
+// The child of AcceptSurvivesDescriptorExhaustion; returns its exit code
+// (0 = a connection queued while descriptors ran out was served once
+// they were freed).
+int ServeThroughDescriptorExhaustion() {
+  rlimit limit{};
+  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return 10;
+  limit.rlim_cur = static_cast<rlim_t>(OpenDescriptorCount() + 16);
+  if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) return 11;
+  exec::ThreadPool pool(1);
+  Server server(&pool, {});
+  if (!server.Start().ok()) return 12;
+  // A first session, kept open, shows the accept loop is up; let it get
+  // back into accept().
+  TimedConnection first(server.socket_path(), 5000);
+  if (!first.Ping()) return 13;
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Hold every free descriptor but one, which client A's socket takes.
+  std::vector<int> held;
+  for (int fd = ::open("/dev/null", O_RDONLY); fd >= 0;
+       fd = ::open("/dev/null", O_RDONLY)) {
+    held.push_back(fd);
+  }
+  if (errno != EMFILE || held.size() < 2) return 14;
+  ::close(held.back());
+  held.pop_back();
+  TimedConnection a(server.socket_path(), 200);
+  if (!a.SendPing(1)) return 15;
+  TimedConnection* waiting = &a;
+  std::optional<TimedConnection> b;
+  if (a.AwaitPong(1)) {
+    // Linux's accept() reserves its descriptor on entry, so the waiting
+    // call served A; the loop's next accept() fails with EMFILE, and
+    // client B waits in the backlog.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ::close(held.back());
+    held.pop_back();
+    b.emplace(server.socket_path(), 200);
+    if (!b->SendPing(1)) return 16;
+    if (b->AwaitPong(1)) return 17;  // served with no descriptor free?
+    waiting = &*b;
+  }
+  for (int fd : held) ::close(fd);
+  for (int attempt = 0; attempt < 25; ++attempt) {
+    if (waiting->AwaitPong(1)) return 0;
+  }
+  return 18;  // the accept loop gave up
+}
+
+// Plain TEST, not the fixture: the fork happens before any pool exists.
+TEST(ServerAcceptTest, AcceptSurvivesDescriptorExhaustion) {
+#ifdef SJ_UNDER_TSAN
+  GTEST_SKIP() << "ThreadSanitizer does not support threads after fork";
+#endif
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::alarm(30);  // a hang kills the child, and fails the test
+    ::_exit(ServeThroughDescriptorExhaustion());
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died with signal "
+                                 << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST_F(ServerTest, ServedQueriesRecordNoEvents) {
+  // One slot, so a select sent behind a running join is rejected.
+  Server::Options options;
+  options.max_inflight = 1;
+  StartServer(options, /*with_heavy=*/true);
+  // Slow-query events are their own, thresholded record; keep the heavy
+  // joins below under the threshold (Reset restores the default).
+  ServiceTelemetry::Global().SetSlowEventThresholdNs(int64_t{3600} *
+                                                     1'000'000'000);
+  std::unique_ptr<ServiceClient> client = Connect();
+  ASSERT_TRUE(client->Ping().ok());  // the session's opening is logged
+  const uint64_t before = EventLog::Global().total();
+  // A reply can reach the client just before its query frees the slot.
+  auto await_free_slot = [&] {
+    for (int i = 0; i < 2000 && server_->scheduler_stats().inflight > 0;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+
+  Result<Reply> select =
+      client->Select(OverlapSelect(0, Rectangle(0, 0, 300, 300)));
+  ASSERT_TRUE(select.ok());
+  EXPECT_EQ(select.value().type, MessageType::kResult);
+  await_free_slot();
+  Result<Reply> join = client->Join(OverlapJoin(0));
+  ASSERT_TRUE(join.ok());
+  EXPECT_EQ(join.value().type, MessageType::kResult);
+
+  JoinRequest heavy = OverlapJoin(1);
+  heavy.op_code = static_cast<uint8_t>(WireOp::kWithinDistance);
+  heavy.op_param = 1200.0;
+  await_free_slot();
+  Result<uint64_t> heavy_id = client->SendJoin(heavy);
+  ASSERT_TRUE(heavy_id.ok());
+  Result<Reply> rejected =
+      client->Select(OverlapSelect(0, Rectangle(0, 0, 10, 10)));
+  ASSERT_TRUE(rejected.ok());
+  EXPECT_EQ(rejected.value().error_code, StatusCode::kResourceExhausted);
+  ASSERT_TRUE(client->Cancel(heavy_id.value()).ok());
+  Result<Reply> cancelled = client->WaitReply(heavy_id.value());
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_EQ(cancelled.value().error_code, StatusCode::kCancelled);
+  heavy.deadline_ns = 2'000'000;
+  await_free_slot();
+  Result<Reply> late = client->Join(heavy);
+  ASSERT_TRUE(late.ok());
+  EXPECT_EQ(late.value().error_code, StatusCode::kDeadlineExceeded);
+
+  // Every reply is in, so every query's accounting is done. A worker may
+  // log a spurious parking anomaly (thread_pool.cc); nothing else may
+  // appear.
+  for (const EventView& e :
+       EventLog::Global().Tail(EventLog::kDefaultCapacity)) {
+    if (e.seq > before && e.type != EventType::kPoolAnomaly) {
+      ADD_FAILURE() << EventTypeName(e.type) << ": " << e.message;
+    }
+  }
+  ServiceTelemetry::Global().Reset();
+}
+
+TEST_F(ServerTest, EachServedQueryIsOneActivity) {
+  char dir_template[] = "/tmp/sj_activity_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  const std::string dump_path =
+      std::string(dir_template) + "/activity.flightdump.json";
+  FlightRecorderOptions recorder;
+  recorder.dump_path = dump_path;
+  recorder.install_signal_handlers = false;
+  FlightRecorder::Install(recorder);
+
+  StartServer({}, /*with_heavy=*/true);
+  std::unique_ptr<ServiceClient> client = Connect();
+  JoinRequest heavy = OverlapJoin(1);
+  heavy.op_code = static_cast<uint8_t>(WireOp::kWithinDistance);
+  heavy.op_param = 1200.0;  // seconds of work
+  Result<uint64_t> id = client->SendJoin(heavy);
+  ASSERT_TRUE(id.ok());
+
+  // Dump until the running join shows up in the activity table.
+  std::vector<JsonValue> activities;
+  int query_rows = 0;
+  for (int attempt = 0; attempt < 1000 && query_rows == 0; ++attempt) {
+    ASSERT_TRUE(FlightRecorder::Dump("explicit", "activity test"));
+    std::ifstream in(dump_path);
+    std::stringstream text;
+    text << in.rdbuf();
+    const JsonDocument doc = ParseJson(text.str());
+    ASSERT_TRUE(doc.ok()) << doc.error;
+    const JsonValue* rows = doc.root.Member("activities");
+    ASSERT_NE(rows, nullptr);
+    activities = rows->items();
+    query_rows = 0;
+    for (const JsonValue& row : activities) {
+      if (row.StringAt("kind").rfind("query.", 0) == 0) ++query_rows;
+    }
+    if (query_rows == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  ASSERT_TRUE(client->Cancel(id.value()).ok());
+  ASSERT_TRUE(client->WaitReply(id.value()).ok());
+  ::unlink(dump_path.c_str());
+  ::rmdir(dir_template);
+
+  // Exactly one row for the query, labelled with who asked; apart from
+  // it only the accept loop, the session's reader and pool workers.
+  EXPECT_EQ(query_rows, 1);
+  for (const JsonValue& row : activities) {
+    const std::string kind = row.StringAt("kind");
+    if (kind.rfind("query.", 0) == 0) {
+      EXPECT_EQ(kind, "query.join");
+      EXPECT_EQ(row.StringAt("label"), "tree_join");
+      EXPECT_EQ(row.StringAt("detail"),
+                "sess0 req" + std::to_string(id.value()));
+    } else {
+      EXPECT_TRUE(kind == "server.accept" || kind == "server.session" ||
+                  kind == "pool.worker")
+          << kind << " / " << row.StringAt("label");
+    }
+  }
 }
 
 }  // namespace

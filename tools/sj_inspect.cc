@@ -514,13 +514,14 @@ constexpr const char kSampleDump[] = R"json({
            "fatal": true, "ts_ns": 5000000},
 "process": {"pid": 4242, "rss_bytes": 1048576},
 "events": {"capacity": 4096, "total": 3, "dropped": 0, "records": [
-  {"seq": 1, "ts_ns": 1000000, "tid": 100, "type": "query_admitted",
-   "severity": "info", "message": "join tree_join (op overlap)"},
+  {"seq": 1, "ts_ns": 1000000, "tid": 100, "type": "query_planned",
+   "severity": "info", "message": "chose tree_join (est. cost 12.0)"},
   {"seq": 2, "ts_ns": 2000000, "tid": 100, "type": "check_failure",
    "severity": "fatal", "message": "join.cc:42: SJ_CHECK(x) — boom"}
 ]},
 "activities": [
-  {"slot": 0, "kind": "query.join", "label": "tree_join", "detail": "",
+  {"slot": 0, "kind": "query.join", "label": "tree_join",
+   "detail": "sess3 req17",
    "tid": 100, "idle": false, "start_ns": 900000, "age_ns": 4100000,
    "last_beat_ns": 1900000, "deadline_ns": 0},
   {"slot": 1, "kind": "pool.worker", "label": "worker",

@@ -15,10 +15,11 @@ JoinResult TreeJoin(const GeneralizationTree& r_tree,
                     const GeneralizationTree& s_tree, const ThetaOperator& op,
                     QueryTrace* trace, const exec::CancelToken* cancel) {
   // Two FrozenTrees take the flat kernel (exec/parallel_join.h): the same
-  // matches, counters, trace and stop points without per-pair virtual
-  // calls or allocation. Disk-backed trees and in-memory hierarchies stay
-  // on the generic kernel below, whose page-access order the cost-model
-  // benches measure.
+  // matches, QualPairs and stop points without per-pair virtual calls or
+  // allocation, and without the θ tests that cannot emit a match.
+  // Disk-backed trees and in-memory hierarchies stay on the generic
+  // kernel below, which makes every test of the paper's algorithm and
+  // whose page-access order the cost-model benches measure.
   const auto* r_frozen = dynamic_cast<const exec::FrozenTree*>(&r_tree);
   const auto* s_frozen = dynamic_cast<const exec::FrozenTree*>(&s_tree);
   if (r_frozen != nullptr && s_frozen != nullptr) {

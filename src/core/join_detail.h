@@ -20,12 +20,12 @@ namespace join_detail {
 /// according to `selector_is_r`), and returns the direct children of
 /// `anchor` that Θ-qualify (they seed the next QualPairs level).
 ///
-/// The generic kernel: TreeJoin runs it for disk-backed trees and
-/// in-memory hierarchies, where every node access goes through the
-/// GeneralizationTree interface and charges its page I/O in the order the
-/// cost-model benches measure. Two FrozenTrees take the flat kernel
-/// instead (exec/flat_kernel.cc), which reproduces this pass's visit
-/// order, counters and matches exactly.
+/// The generic kernel, for disk-backed trees and in-memory hierarchies:
+/// every node access goes through the GeneralizationTree interface and
+/// charges page I/O in the order the cost-model benches measure. Two
+/// FrozenTrees take the flat kernel (exec/flat_kernel.cc): the same matches
+/// in order, but θ only on application pairs and no descent below a
+/// non-application selector's children; its Θ/θ/node counts are ≤ these.
 ///
 /// SJ_HOT: its exceptions (worklist growth, virtual generalization-tree
 /// and Θ dispatch — the paper's extension points) are enumerated in

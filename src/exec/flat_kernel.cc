@@ -2,9 +2,13 @@
 // SELECT over FrozenTree's struct-of-arrays layout, under one level driver
 // that runs with or without a thread pool (DESIGN.md §7). Every Θ goes
 // through ThetaOperator::ThetaUpperBatch over MBR planes and every θ
-// through the scalar Theta on geometry references; the visit order, the
-// counters and the stop points are those of the generic kernel
-// (core/join_detail.h, core/select.cc).
+// through the scalar Theta on geometry references. The matches and their
+// order, the QualPairs, each trace level's worklist, pruned and descended
+// counts and the stop points are those of the generic kernel
+// (core/join_detail.h, core/select.cc). SELECT's counters are too. JOIN
+// runs θ only on pairs of application objects, the only pairs that can
+// match, and stops a JOIN4 pass led by any other node at the anchor's
+// children, so its Θ, θ and node-access counts are the work it did.
 
 #include <algorithm>
 #include <utility>
@@ -95,11 +99,13 @@ struct LevelTally {
 // ---------------------------------------------------------------------------
 
 // One JOIN4 selection pass: the object of `selector` (a node of
-// `sel_tree`) against every strict descendant of `anchor` in `tree`,
+// `sel_tree`) against the strict descendants of `anchor` in `tree`,
 // breadth-first, one Θ batch per run of siblings. Appends the
 // Θ-qualifying direct children of `anchor` to *qualifying and emits
 // matches R-before-S per `selector_is_r`, in join_detail::SelectPass's
-// order.
+// order. Only a pair of application objects can match, so θ runs on
+// those alone, and a selector that is no application object stops at
+// the direct children, which only seed the next QualPairs block.
 SJ_HOT void ScanBelow(const FrozenTree& sel_tree, NodeId selector,
                       const FrozenTree& tree, NodeId anchor,
                       const ThetaOperator& op, bool selector_is_r,
@@ -131,16 +137,18 @@ SJ_HOT void ScanBelow(const FrozenTree& sel_tree, NodeId selector,
         const NodeId node = range.begin + i;
         if (is_direct) qualifying->push_back(node);
         ++out->nodes_accessed;
-        ++out->theta_tests;
-        const Value& geometry = tree.GeometryRef(node);
-        const bool theta = selector_is_r ? op.Theta(selector_geom, geometry)
-                                         : op.Theta(geometry, selector_geom);
-        if (theta && tree.IsApplicationAt(node) && selector_app) {
-          const TupleId tuple = tree.TupleAt(node);
-          if (selector_is_r) {
-            out->matches.emplace_back(selector_tuple, tuple);
-          } else {
-            out->matches.emplace_back(tuple, selector_tuple);
+        if (!selector_app) continue;  // no θ, and no descent below `direct`
+        if (tree.IsApplicationAt(node)) {
+          ++out->theta_tests;
+          const Value& geometry = tree.GeometryRef(node);
+          if (selector_is_r ? op.Theta(selector_geom, geometry)
+                            : op.Theta(geometry, selector_geom)) {
+            const TupleId tuple = tree.TupleAt(node);
+            if (selector_is_r) {
+              out->matches.emplace_back(selector_tuple, tuple);
+            } else {
+              out->matches.emplace_back(tuple, selector_tuple);
+            }
           }
         }
         const NodeRange kids = tree.ChildSpan(node);
@@ -151,18 +159,20 @@ SJ_HOT void ScanBelow(const FrozenTree& sel_tree, NodeId selector,
   }
 }
 
-// JOIN3 and JOIN4 for a pair (a, b) that passed JOIN2's Θ: the θ test,
-// both selection passes, and the block of cross-qualifying children for
-// the next level — join_detail::ProcessQualPair after its Θ test.
+// JOIN3 and JOIN4 for a pair (a, b) that passed JOIN2's Θ: the θ test
+// when both are application objects, both selection passes, and the
+// block of cross-qualifying children for the next level —
+// join_detail::ProcessQualPair after its Θ test.
 SJ_HOT void JoinPassedPair(const FrozenTree& r_tree,
                            const FrozenTree& s_tree, const ThetaOperator& op,
                            NodeId a, NodeId b, KernelScratch* scratch,
                            JoinResult* out, PairLevel* next) {
   out->nodes_accessed += 2;
-  ++out->theta_tests;
-  if (op.Theta(r_tree.GeometryRef(a), s_tree.GeometryRef(b)) &&
-      r_tree.IsApplicationAt(a) && s_tree.IsApplicationAt(b)) {
-    out->matches.emplace_back(r_tree.TupleAt(a), s_tree.TupleAt(b));
+  if (r_tree.IsApplicationAt(a) && s_tree.IsApplicationAt(b)) {
+    ++out->theta_tests;
+    if (op.Theta(r_tree.GeometryRef(a), s_tree.GeometryRef(b))) {
+      out->matches.emplace_back(r_tree.TupleAt(a), s_tree.TupleAt(b));
+    }
   }
   std::vector<NodeId>& ids = next->ids;
   const int64_t begin = static_cast<int64_t>(ids.size());

@@ -20,19 +20,24 @@ namespace exec {
 /// (core/join_detail.h) appends pairs in, so the pair list itself is never
 /// stored. Each block row (one a against all its b partners) is Θ-tested
 /// by one ThetaOperator::ThetaUpperBatch call over the gathered b-side
-/// MBR planes; JOIN3's θ and the two JOIN4 selection passes run per
-/// Θ-qualifying pair, the passes Θ-testing whole child id ranges per
-/// call. Scratch rows are reused, so nothing is allocated per pair or per
-/// pass.
+/// MBR planes; the two JOIN4 selection passes run per Θ-qualifying pair,
+/// Θ-testing whole child id ranges per call. θ runs only where it can emit
+/// a match: on a pair (JOIN3) or a selector and a node (JOIN4) that are
+/// all application objects. A pass whose selector is no application
+/// object Θ-tests the anchor's direct children, which seed the next
+/// level, and descends no further. Scratch rows are reused, so nothing is
+/// allocated per pair or per pass.
 ///
 /// `pool` is optional. Null runs every level on the calling thread; this
 /// is the path TreeJoin takes for FrozenTree inputs. With a pool, a level
 /// with more than one chunk's worth of expected Θ work is cut into runs
 /// of block rows, each chunk runs on some worker into its own buffers,
 /// and the buffers are merged in chunk order at the level barrier.
-/// Either way the matches (in order), the four JoinResult counters, the
-/// `trace` level counts, and the stop points are those of the generic
-/// TreeJoin on the source trees, at any pool width.
+/// Either way the matches (in order), `qual_pairs_examined`, each `trace`
+/// level's worklist, pruned and descended counts, and the stop points are
+/// those of the generic TreeJoin on the source trees, at any pool width;
+/// `theta_upper_tests`, `theta_tests` and `nodes_accessed` (in total and
+/// per level) count the tests above, at most the generic kernel's.
 ///
 /// `cancel` is polled at every level boundary, where no chunk is in
 /// flight: a stopped join returns the prefix of completed levels with

@@ -25,7 +25,9 @@ struct TraceLevel {
   /// JOIN this includes the JOIN4 selection passes triggered while
   /// processing this height's QualPairs.
   int64_t theta_upper_tests = 0;
-  /// Exact θ-operator evaluations (only Θ-qualifying entries pay one).
+  /// Exact θ-operator evaluations. The generic kernels and SELECT pay one
+  /// per Θ-qualifying entry; the flat JOIN kernel only per Θ-qualifying
+  /// pair of application objects, the only pairs that can match.
   int64_t theta_tests = 0;
   /// Worklist entries whose children were expanded (Θ-qualified).
   int64_t descended = 0;

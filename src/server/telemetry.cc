@@ -22,9 +22,9 @@ constexpr int64_t kSliceNs = 250LL * 1000 * 1000;
 
 constexpr int64_t kDefaultSlowEventThresholdNs = 10LL * 1000 * 1000;
 
-// Ranking key for the slow-by-residual ring: distance of the residual
-// from 1.0 in log space, so a 4× underprediction and a 4× overprediction
-// are equally interesting.
+// Ranking key for the slow-by-residual ring: distance of the θ/Θ pass
+// rate (QueryRecord::residual) from 1.0 in log space. θ only runs on a
+// Θ-passing pair, so the rate is at most 1 and the ring keeps the lowest.
 double ResidualBadness(double residual) {
   return std::fabs(std::log2(std::max(residual, 1e-9)));
 }

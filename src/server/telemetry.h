@@ -65,11 +65,12 @@ struct QueryRecord {
   int64_t qual_pairs = 0;      ///< QualPairs entries (qual_pairs_examined)
   int64_t nodes_accessed = 0;
   int64_t matches = 0;
-  /// Measured / predicted exact-test work: theta_tests over the Θ-filter
-  /// upper bound, the live analogue of the explain layer's cost residual
-  /// (1.0 when both are 0). Far from 1.0 means the filter stage's
-  /// prediction of this query's cost was wrong — the paper's Θ/θ
-  /// two-stage claim, checked per query on a running server.
+  /// θ tests over Θ tests, theta_tests / pairs_examined (1.0 when both
+  /// are 0): the share of Θ-filter tests that went on to an exact θ test,
+  /// i.e. the filter's pass rate. Despite its name nothing here is
+  /// predicted, so it is no cost-model residual. A FrozenTree join
+  /// θ-tests only pairs of application objects, so over R-trees its rate
+  /// is lower than a disk-backed join's on the same data.
   double residual = 1.0;
 };
 

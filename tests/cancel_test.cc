@@ -23,6 +23,7 @@
 #include "exec/parallel_join.h"
 #include "exec/parallel_select.h"
 #include "exec/thread_pool.h"
+#include "obs/trace.h"
 #include "rtree/rtree.h"
 #include "rtree/rtree_gentree.h"
 #include "storage/buffer_pool.h"
@@ -273,11 +274,68 @@ TEST_F(CancelExecutionTest, MidFlightCancelStopsAtALevelBoundary) {
   EXPECT_LE(stopped.qual_pairs_examined, full.qual_pairs_examined);
   EXPECT_TRUE(workers.Quiescent());
 
-  // FrozenTree inputs to the sequential TreeJoin and SpatialSelect, which
-  // take the flat kernel: cancelled at the same Θ evaluation as the
-  // generic kernel on the source trees, they stop at the same point and
-  // return the same prefix. The selection runs over a tree of 1500
-  // rectangles, so several of its 256-visit poll points fall inside it.
+  // FrozenTree inputs to the sequential TreeJoin, which takes the flat
+  // kernel: cancelled at any Θ evaluation of level L, it stops at the same
+  // level boundary as the generic kernel on the source trees cancelled
+  // inside L, and returns the same prefix. Both poll only between levels,
+  // but the flat kernel skips the Θ tests that cannot change the answer,
+  // so each kernel's cancelling call — the first, a middle and the last
+  // of the level — is taken from its own per-level trace.
+  QueryTrace generic_levels("join");
+  QueryTrace flat_levels("join");
+  TreeJoin(*r_adapter_, *s_adapter_, op, &generic_levels);
+  TreeJoin(r_frozen, s_frozen, op, &flat_levels);
+  ASSERT_EQ(flat_levels.levels().size(), generic_levels.levels().size());
+  ASSERT_GE(generic_levels.levels().size(), 3u);
+  const auto nth_call = [](int64_t calls, int which) -> int64_t {
+    return which == 0 ? 1 : (which == 1 ? (calls + 1) / 2 : calls);
+  };
+  int64_t generic_before = 0;  // Θ evaluations before level L
+  int64_t flat_before = 0;
+  int64_t pairs_through = 0;  // QualPairs of levels [0, L]
+  for (size_t level = 0; level < generic_levels.levels().size(); ++level) {
+    const int64_t generic_calls =
+        generic_levels.levels()[level].theta_upper_tests;
+    const int64_t flat_calls = flat_levels.levels()[level].theta_upper_tests;
+    pairs_through += generic_levels.levels()[level].worklist;
+    for (int which = 0; which < 3; ++which) {
+      const std::string where =
+          "join, level " + std::to_string(level) + " call " +
+          std::to_string(which);
+      exec::CancelToken generic_token;
+      exec::CancelToken flat_token;
+      const int64_t generic_after =
+          generic_before + nth_call(generic_calls, which);
+      const int64_t flat_after = flat_before + nth_call(flat_calls, which);
+      CancellingTheta generic_op(&op, &generic_token, generic_after);
+      CancellingTheta flat_op(&op, &flat_token, flat_after);
+      const JoinResult generic =
+          TreeJoin(*r_adapter_, *s_adapter_, generic_op, nullptr,
+                   &generic_token);
+      const JoinResult flat =
+          TreeJoin(r_frozen, s_frozen, flat_op, nullptr, &flat_token);
+      EXPECT_TRUE(generic_token.ShouldStop()) << where;
+      EXPECT_TRUE(flat_token.ShouldStop()) << where;
+      EXPECT_EQ(flat.matches, generic.matches) << where;
+      // Each ran exactly levels [0, L].
+      EXPECT_EQ(generic.qual_pairs_examined, pairs_through) << where;
+      EXPECT_EQ(flat.qual_pairs_examined, pairs_through) << where;
+      EXPECT_EQ(generic.theta_upper_tests, generic_before + generic_calls)
+          << where;
+      EXPECT_EQ(flat.theta_upper_tests, flat_before + flat_calls) << where;
+      ASSERT_LE(flat.matches.size(), full.matches.size());
+      for (size_t i = 0; i < flat.matches.size(); ++i) {
+        EXPECT_EQ(flat.matches[i], full.matches[i]) << "at " << i;
+      }
+    }
+    generic_before += generic_calls;
+    flat_before += flat_calls;
+  }
+
+  // The same for SpatialSelect, whose flat kernel makes the generic
+  // traversal's Θ evaluations: cancelled at the same one, both stop at
+  // the same point. The selection runs over a tree of 1500 rectangles,
+  // so several of its 256-visit poll points fall inside it.
   Relation big("big", Schema({{"id", ValueType::kInt64},
                               {"box", ValueType::kRectangle}}),
                &pool_);
@@ -293,25 +351,6 @@ TEST_F(CancelExecutionTest, MidFlightCancelStopsAtALevelBoundary) {
   const SelectResult full_select = SpatialSelect(selector, big_adapter, op);
   ASSERT_GT(full_select.theta_upper_tests, 1024);
   for (int64_t after : {1, 40, 300, 700, 5000}) {
-    exec::CancelToken generic_token;
-    exec::CancelToken flat_token;
-    CancellingTheta generic_op(&op, &generic_token, after);
-    CancellingTheta flat_op(&op, &flat_token, after);
-    const JoinResult generic =
-        TreeJoin(*r_adapter_, *s_adapter_, generic_op, nullptr,
-                 &generic_token);
-    const JoinResult flat =
-        TreeJoin(r_frozen, s_frozen, flat_op, nullptr, &flat_token);
-    EXPECT_EQ(flat.matches, generic.matches) << "join, after " << after;
-    EXPECT_EQ(flat.qual_pairs_examined, generic.qual_pairs_examined)
-        << "join, after " << after;
-    EXPECT_EQ(flat.theta_upper_tests, generic.theta_upper_tests)
-        << "join, after " << after;
-    ASSERT_LE(flat.matches.size(), full.matches.size());
-    for (size_t i = 0; i < flat.matches.size(); ++i) {
-      EXPECT_EQ(flat.matches[i], full.matches[i]) << "at " << i;
-    }
-
     exec::CancelToken generic_select_token;
     exec::CancelToken flat_select_token;
     CancellingTheta generic_select_op(&op, &generic_select_token, after);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <set>
@@ -53,26 +55,35 @@ std::vector<NamedOp> Table1Operators() {
   return ops;
 }
 
-// One side of a disk-backed join input: a relation, its R-tree and the
-// generalization-tree adapter over both.
+// One side of a disk-backed join input: a relation, its R-tree, the
+// generalization-tree adapter over both, and every object's MBR.
 struct RTreeSide {
   std::unique_ptr<Relation> relation;
   std::unique_ptr<RTree> rtree;
   std::unique_ptr<RTreeGenTree> adapter;
+  std::vector<Rectangle> mbrs;
 };
 
-// `n` convex polygons (6 vertices) in `world`, indexed by an R-tree.
-RTreeSide PolygonSide(BufferPool* pool, const Rectangle& world,
-                      uint64_t seed, int64_t n) {
+// `n` objects in `world`, indexed by an R-tree of node capacity
+// `max_entries`: convex polygons (6 vertices) or, with `polygons` false,
+// rectangles.
+RTreeSide IndexedSide(BufferPool* pool, const Rectangle& world,
+                      uint64_t seed, int64_t n, bool polygons,
+                      int max_entries) {
   RTreeSide side;
-  Schema schema({{"id", ValueType::kInt64}, {"geom", ValueType::kPolygon}});
+  Schema schema({{"id", ValueType::kInt64},
+                 {"geom", polygons ? ValueType::kPolygon
+                                   : ValueType::kRectangle}});
   side.relation = std::make_unique<Relation>("p", schema, pool);
-  side.rtree = std::make_unique<RTree>(pool, RTreeSplit::kQuadratic, 8);
+  side.rtree =
+      std::make_unique<RTree>(pool, RTreeSplit::kQuadratic, max_entries);
   RectGenerator gen(world, seed);
   for (int64_t i = 0; i < n; ++i) {
-    Value polygon(gen.NextPolygon(2, 12, 6));
-    side.rtree->Insert(polygon.Mbr(),
-                       side.relation->Insert(Tuple({Value(i), polygon})));
+    Value object = polygons ? Value(gen.NextPolygon(2, 12, 6))
+                            : Value(gen.NextRect(2, 30));
+    side.mbrs.push_back(object.Mbr());
+    side.rtree->Insert(object.Mbr(),
+                       side.relation->Insert(Tuple({Value(i), object})));
   }
   side.adapter =
       std::make_unique<RTreeGenTree>(side.rtree.get(), side.relation.get(), 1);
@@ -206,30 +217,140 @@ std::string Where(const std::string& label, const ThetaOperator& op,
                      : std::to_string(width) + " threads");
 }
 
-// Equal trace level counts: the generic and flat kernels must agree on
-// every per-height quantity the cost model compares against.
-void ExpectSameLevels(const QueryTrace& got, const QueryTrace& want,
-                      const std::string& where) {
+// Equal trace level shapes: the same heights, worklists and Θ outcomes
+// (entries pruned vs descended), which every tree kernel must share.
+void ExpectSameShape(const QueryTrace& got, const QueryTrace& want,
+                     const std::string& where) {
   ASSERT_EQ(got.levels().size(), want.levels().size()) << where;
   for (size_t i = 0; i < want.levels().size(); ++i) {
     const TraceLevel& g = got.levels()[i];
     const TraceLevel& w = want.levels()[i];
     EXPECT_EQ(g.height, w.height) << where << " level " << i;
     EXPECT_EQ(g.worklist, w.worklist) << where << " level " << i;
-    EXPECT_EQ(g.theta_upper_tests, w.theta_upper_tests)
-        << where << " level " << i;
-    EXPECT_EQ(g.theta_tests, w.theta_tests) << where << " level " << i;
     EXPECT_EQ(g.pruned, w.pruned) << where << " level " << i;
     EXPECT_EQ(g.descended, w.descended) << where << " level " << i;
   }
 }
 
+// Equal trace level counts: the same shape and, per level, the same Θ
+// and θ tests.
+void ExpectSameLevels(const QueryTrace& got, const QueryTrace& want,
+                      const std::string& where) {
+  ExpectSameShape(got, want, where);
+  if (got.levels().size() != want.levels().size()) return;
+  for (size_t i = 0; i < want.levels().size(); ++i) {
+    const TraceLevel& g = got.levels()[i];
+    const TraceLevel& w = want.levels()[i];
+    EXPECT_EQ(g.theta_upper_tests, w.theta_upper_tests)
+        << where << " level " << i;
+    EXPECT_EQ(g.theta_tests, w.theta_tests) << where << " level " << i;
+  }
+}
+
+// One JOIN4 selection pass of PrunedTreeJoin: join_detail::SelectPass,
+// except that θ runs only on application nodes under an application
+// selector, and a selector that is no application object Θ-tests the
+// anchor's direct children only.
+std::vector<NodeId> PrunedPass(const GeneralizationTree& selector_tree,
+                               NodeId selector,
+                               const GeneralizationTree& tree, NodeId anchor,
+                               const ThetaOperator& op, bool selector_is_r,
+                               JoinResult* result) {
+  const bool selector_app = selector_tree.IsApplicationNode(selector);
+  const Rectangle probe = selector_tree.MbrOf(selector);
+  const Value selector_geom = selector_tree.Geometry(selector);
+  std::vector<NodeId> qualifying;
+  std::deque<std::pair<NodeId, bool>> worklist;  // (node, is_direct_child)
+  for (NodeId child : tree.Children(anchor)) worklist.emplace_back(child, true);
+  while (!worklist.empty()) {
+    const auto [node, is_direct] = worklist.front();
+    worklist.pop_front();
+    ++result->theta_upper_tests;
+    const Rectangle mbr = tree.MbrOf(node);
+    if (!(selector_is_r ? op.ThetaUpper(probe, mbr)
+                        : op.ThetaUpper(mbr, probe))) {
+      continue;
+    }
+    if (is_direct) qualifying.push_back(node);
+    ++result->nodes_accessed;
+    if (!selector_app) continue;
+    if (tree.IsApplicationNode(node)) {
+      ++result->theta_tests;
+      const Value geometry = tree.Geometry(node);
+      if (selector_is_r ? op.Theta(selector_geom, geometry)
+                        : op.Theta(geometry, selector_geom)) {
+        const TupleId s = selector_tree.TupleOf(selector);
+        const TupleId t = tree.TupleOf(node);
+        result->matches.emplace_back(selector_is_r ? s : t,
+                                     selector_is_r ? t : s);
+      }
+    }
+    for (NodeId child : tree.Children(node)) {
+      worklist.emplace_back(child, false);
+    }
+  }
+  return qualifying;
+}
+
+// The flat kernel's contract, written plainly over the GeneralizationTree
+// interface: the generic TreeJoin's level-synchronized traversal (the
+// same QualPairs, visit order and matches) running only the tests that
+// can change its answer. θ runs on a pair only when both nodes are
+// application objects, since no other pair can match, and a JOIN4 pass
+// led by a node that is no application object stops at the anchor's
+// direct children, which seed the next level. Fills `trace` per level
+// like the kernels do (Θ/θ tests, worklist, pruned, descended).
+JoinResult PrunedTreeJoin(const GeneralizationTree& r_tree,
+                          const GeneralizationTree& s_tree,
+                          const ThetaOperator& op, QueryTrace* trace) {
+  JoinResult result;
+  std::vector<std::pair<NodeId, NodeId>> current{
+      {r_tree.root(), s_tree.root()}};
+  const int max_level = std::min(r_tree.height(), s_tree.height());
+  for (int j = 0; j <= max_level && !current.empty(); ++j) {
+    TraceLevel& level = trace->Level(j);
+    level.worklist = static_cast<int64_t>(current.size());
+    const int64_t theta_upper_before = result.theta_upper_tests;
+    const int64_t theta_before = result.theta_tests;
+    std::vector<std::pair<NodeId, NodeId>> next;
+    for (const auto& [a, b] : current) {
+      ++result.qual_pairs_examined;
+      ++result.theta_upper_tests;
+      if (!op.ThetaUpper(r_tree.MbrOf(a), s_tree.MbrOf(b))) {
+        ++level.pruned;
+        continue;
+      }
+      ++level.descended;
+      result.nodes_accessed += 2;
+      if (r_tree.IsApplicationNode(a) && s_tree.IsApplicationNode(b)) {
+        ++result.theta_tests;
+        if (op.Theta(r_tree.Geometry(a), s_tree.Geometry(b))) {
+          result.matches.emplace_back(r_tree.TupleOf(a), s_tree.TupleOf(b));
+        }
+      }
+      const std::vector<NodeId> qual_b = PrunedPass(
+          r_tree, a, s_tree, b, op, /*selector_is_r=*/true, &result);
+      const std::vector<NodeId> qual_a = PrunedPass(
+          s_tree, b, r_tree, a, op, /*selector_is_r=*/false, &result);
+      for (NodeId a2 : qual_a) {
+        for (NodeId b2 : qual_b) next.emplace_back(a2, b2);
+      }
+    }
+    level.theta_upper_tests = result.theta_upper_tests - theta_upper_before;
+    level.theta_tests = result.theta_tests - theta_before;
+    current = std::move(next);
+  }
+  return result;
+}
+
 // The flat kernel over snapshots of `r_src` and `s_src`, without a pool
 // and at every width, against the generic TreeJoin on the sources
-// themselves: the same matches in the same order, the same four
-// counters, the same trace level counts — and a CountingTheta whose
-// counts equal the counters. Returns the pool tasks the widest runs
-// executed, so callers can insist the chunked path ran.
+// themselves: the same matches in the same order, the same QualPairs and
+// trace level shapes. Its Θ/θ tests and node accesses are the work it
+// did, which must equal PrunedTreeJoin's on the sources, per level and in
+// total — and a CountingTheta's counts must equal the counters. Returns
+// the pool tasks the widest runs executed, so callers can insist the
+// chunked path ran.
 int64_t ExpectFlatJoinIsExact(const GeneralizationTree& r_src,
                               const GeneralizationTree& s_src,
                               const std::string& label) {
@@ -240,6 +361,17 @@ int64_t ExpectFlatJoinIsExact(const GeneralizationTree& r_src,
     QueryTrace generic_trace("join");
     const JoinResult generic =
         TreeJoin(r_src, s_src, *entry.op, &generic_trace);
+    QueryTrace pruned_trace("join");
+    const JoinResult pruned =
+        PrunedTreeJoin(r_src, s_src, *entry.op, &pruned_trace);
+    // The reference drops only tests that cannot change the answer.
+    EXPECT_EQ(pruned.matches, generic.matches) << label;
+    EXPECT_EQ(pruned.qual_pairs_examined, generic.qual_pairs_examined)
+        << label;
+    EXPECT_LE(pruned.theta_upper_tests, generic.theta_upper_tests) << label;
+    EXPECT_LE(pruned.theta_tests, generic.theta_tests) << label;
+    EXPECT_LE(pruned.nodes_accessed, generic.nodes_accessed) << label;
+    ExpectSameShape(pruned_trace, generic_trace, label);
     for (int width : kPoolWidths) {
       const std::string where = Where(label, *entry.op, width);
       std::unique_ptr<exec::ThreadPool> workers = PoolOfWidth(width);
@@ -248,15 +380,15 @@ int64_t ExpectFlatJoinIsExact(const GeneralizationTree& r_src,
       const JoinResult flat = exec::ParallelTreeJoin(
           r_frozen, s_frozen, counting, workers.get(), nullptr, &flat_trace);
       EXPECT_EQ(flat.matches, generic.matches) << where;
-      EXPECT_EQ(flat.theta_upper_tests, generic.theta_upper_tests) << where;
-      EXPECT_EQ(flat.theta_tests, generic.theta_tests) << where;
-      EXPECT_EQ(flat.nodes_accessed, generic.nodes_accessed) << where;
       EXPECT_EQ(flat.qual_pairs_examined, generic.qual_pairs_examined)
           << where;
+      EXPECT_EQ(flat.theta_upper_tests, pruned.theta_upper_tests) << where;
+      EXPECT_EQ(flat.theta_tests, pruned.theta_tests) << where;
+      EXPECT_EQ(flat.nodes_accessed, pruned.nodes_accessed) << where;
       EXPECT_EQ(counting.theta_upper_count(), flat.theta_upper_tests)
           << where;
       EXPECT_EQ(counting.theta_count(), flat.theta_tests) << where;
-      ExpectSameLevels(flat_trace, generic_trace, where);
+      ExpectSameLevels(flat_trace, pruned_trace, where);
       if (workers != nullptr && width == 8) {
         tasks += workers->stats().tasks_executed;
       }
@@ -264,7 +396,7 @@ int64_t ExpectFlatJoinIsExact(const GeneralizationTree& r_src,
     // TreeJoin itself takes the flat kernel for FrozenTree inputs.
     const JoinResult dispatched = TreeJoin(r_frozen, s_frozen, *entry.op);
     EXPECT_EQ(dispatched.matches, generic.matches) << label;
-    EXPECT_EQ(dispatched.theta_upper_tests, generic.theta_upper_tests)
+    EXPECT_EQ(dispatched.theta_upper_tests, pruned.theta_upper_tests)
         << label;
   }
   return tasks;
@@ -326,8 +458,8 @@ TEST_F(ParallelExecTest, ParallelTreeJoinIsByteIdenticalToSequential) {
 
   // Polygons, numerous enough that the deep levels exceed one chunk: the
   // pooled runs must really have fanned out.
-  RTreeSide r_poly = PolygonSide(&pool_, world_, 41, 400);
-  RTreeSide s_poly = PolygonSide(&pool_, world_, 42, 400);
+  RTreeSide r_poly = IndexedSide(&pool_, world_, 41, 400, /*polygons=*/true, 8);
+  RTreeSide s_poly = IndexedSide(&pool_, world_, 42, 400, /*polygons=*/true, 8);
   EXPECT_GT(ExpectFlatJoinIsExact(*r_poly.adapter, *s_poly.adapter,
                                   "polygons"),
             0);
@@ -352,6 +484,69 @@ TEST_F(ParallelExecTest, ParallelTreeJoinIsByteIdenticalToSequential) {
   ExpectFlatJoinIsExact(*one, *one, "one-node x one-node");
 }
 
+
+TEST_F(ParallelExecTest, FlatJoinThetaTestsOverlappingApplicationPairsOnce) {
+  // Counted by brute force over the inputs, independently of either
+  // kernel: over R-trees, θ runs exactly once per (R, S) pair of
+  // application objects whose MBRs overlap (Θ of overlaps), and on no
+  // directory node — whichever tree is taller, with or without a pool.
+  // On rectangles θ equals Θ, so every θ test is a match.
+  struct Case {
+    const char* label;
+    bool polygons;
+    int64_t r_n;
+    int64_t s_n;
+    int r_height;
+    int s_height;
+  };
+  const Case cases[] = {
+      {"rectangles 5/5", false, 200, 200, 5, 5},
+      {"rectangles 6/2", false, 600, 8, 6, 2},
+      {"rectangles 2/6", false, 8, 600, 2, 6},
+      {"polygons 5/5", true, 200, 200, 5, 5},
+      {"polygons 6/2", true, 600, 8, 6, 2},
+      {"polygons 2/6", true, 8, 600, 2, 6},
+  };
+  // A world dense enough that most objects overlap several others.
+  const Rectangle world(0, 0, 60, 60);
+  const OverlapsOp op;
+  uint64_t seed = 60;
+  int64_t tasks = 0;
+  for (const Case& c : cases) {
+    const RTreeSide r =
+        IndexedSide(&pool_, world, ++seed, c.r_n, c.polygons, 4);
+    const RTreeSide s =
+        IndexedSide(&pool_, world, ++seed, c.s_n, c.polygons, 4);
+    ASSERT_EQ(r.adapter->height(), c.r_height) << c.label;
+    ASSERT_EQ(s.adapter->height(), c.s_height) << c.label;
+    int64_t candidates = 0;
+    for (const Rectangle& a : r.mbrs) {
+      for (const Rectangle& b : s.mbrs) candidates += a.Overlaps(b) ? 1 : 0;
+    }
+    ASSERT_GT(candidates, 0) << c.label;
+    const exec::FrozenTree r_frozen =
+        exec::FrozenTree::Materialize(*r.adapter);
+    const exec::FrozenTree s_frozen =
+        exec::FrozenTree::Materialize(*s.adapter);
+    for (int width : kPoolWidths) {
+      const std::string where = Where(c.label, op, width);
+      std::unique_ptr<exec::ThreadPool> workers = PoolOfWidth(width);
+      const JoinResult result =
+          exec::ParallelTreeJoin(r_frozen, s_frozen, op, workers.get());
+      EXPECT_EQ(result.theta_tests, candidates) << where;
+      if (!c.polygons) {
+        EXPECT_EQ(result.theta_tests,
+                  static_cast<int64_t>(result.matches.size()))
+            << where;
+      }
+      if (workers != nullptr && width == 8) {
+        tasks += workers->stats().tasks_executed;
+      }
+    }
+  }
+  // The equal-height joins are heavy enough to be cut into pool chunks.
+  EXPECT_GT(tasks, 0);
+}
 
 TEST_F(ParallelExecTest, PartitionedJoinMatchesSequentialResultSet) {
   std::vector<exec::JoinItem> r_items = exec::CollectJoinItems(*r_, 1);

@@ -426,7 +426,8 @@ void RenderSummary(const JsonValue& dump, std::ostream& os) {
       }
     };
     render_ring(service->Member("slow_by_latency"), "slowest queries");
-    render_ring(service->Member("slow_by_residual"), "worst cost residuals");
+    render_ring(service->Member("slow_by_residual"),
+                "lowest filter pass rates (theta/Theta tests)");
   }
 }
 

@@ -176,7 +176,7 @@ void RenderFrame(const JsonValue& stats, const std::string& socket_path,
 
   RenderSlowRing(stats, "slow_by_latency", "slowest queries (last 60s)");
   RenderSlowRing(stats, "slow_by_residual",
-                 "worst cost-model residuals (last 60s)");
+                 "lowest filter pass rates, theta/Theta tests (last 60s)");
   std::fflush(stdout);
 }
 

@@ -5,8 +5,6 @@
 // III (join-index lookup for stored selectors). Costs in the paper's
 // units: θ/Θ tests + 1000 per page read, cold pool per query.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 
@@ -15,9 +13,6 @@
 #include "core/nested_loop.h"
 #include "core/select.h"
 #include "core/theta_ops.h"
-#include "exec/frozen_tree.h"
-#include "exec/parallel_select.h"
-#include "exec/thread_pool.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "workload/hierarchy_generator.h"
@@ -49,14 +44,7 @@ void Report(const char* name, const Totals& t, int queries) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  int threads = 2;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
-      if (threads < 1) threads = 1;
-    }
-  }
+int main() {
   const Rectangle world(0, 0, 1024, 1024);
   HierarchyOptions options;
   options.height = 5;
@@ -91,18 +79,8 @@ int main(int argc, char** argv) {
                "join-index precompute: "
             << precompute << " theta tests)\n\n";
 
-  // Parallel SELECT operates on a one-time frozen snapshot of the
-  // clustered hierarchy (its page reads are paid here, once, not per
-  // query) and shards the frontier over the exec pool.
-  SJ_CHECK_OK(pool_cl.Clear());
-  disk_cl.ResetStats();
-  exec::FrozenTree frozen = exec::FrozenTree::Materialize(*clustered.tree);
-  int64_t snapshot_reads = disk_cl.stats().page_reads;
-  exec::ThreadPool workers(threads);
-
   const int queries = 40;
-  Totals exhaustive, tree_cl, tree_uc, ji_lookup, tree_par;
-  tree_par.reads = snapshot_reads;  // amortized over all queries
+  Totals exhaustive, tree_cl, tree_uc, ji_lookup;
   Rng selector_rng(2024);
   for (int q = 0; q < queries; ++q) {
     TupleId selector_tid = static_cast<TupleId>(selector_rng.NextUint64(
@@ -133,10 +111,6 @@ int main(int argc, char** argv) {
     tree_uc.reads += disk_uc.stats().page_reads;
     tree_uc.matches += static_cast<int64_t>(uc.matching_tuples.size());
 
-    SelectResult par = exec::ParallelSelect(selector, frozen, op, &workers);
-    tree_par.tests += par.theta_tests + par.theta_upper_tests;
-    tree_par.matches += static_cast<int64_t>(par.matching_tuples.size());
-
     SJ_CHECK_OK(pool_ji.Clear());
     disk_ji.ResetStats();
     std::vector<TupleId> hits = index.SMatchesOf(selector_tid);
@@ -152,13 +126,6 @@ int main(int argc, char** argv) {
   Report("IIa: tree, unclustered", tree_uc, queries);
   Report("IIb: tree, clustered", tree_cl, queries);
   Report("III: join-index lookup", ji_lookup, queries);
-  std::printf("II-par: frozen, W=%-2d       ", threads);
-  std::printf("matches=%6lld  tests=%8lld  reads=%6lld  cost/query=%.3e  "
-              "(reads = one-time snapshot; --threads=N)\n",
-              static_cast<long long>(tree_par.matches),
-              static_cast<long long>(tree_par.tests),
-              static_cast<long long>(tree_par.reads),
-              tree_par.cost() / queries);
   std::cout << "\nExpected shape (Figs. 8-10): exhaustive never "
                "competitive; clustered beats unclustered on reads at "
                "equal logical work; the join index answers with zero "

@@ -26,7 +26,6 @@
 #include "core/spatial_join.h"
 #include "exec/frozen_tree.h"
 #include "exec/parallel_join.h"
-#include "exec/parallel_select.h"
 #include "exec/partitioned_join.h"
 #include "exec/thread_pool.h"
 #include "obs/json.h"
@@ -186,30 +185,29 @@ int main(int argc, char** argv) {
   curves.EndArray();
 
   // --- Timeline probe ----------------------------------------------------
-  // One sequential JOIN and a SELECT (verified against ParallelSelect) at
-  // the *tail* of the run: their per-level join.level / select.level spans
-  // are the freshest events in the main thread's ring, so they survive
-  // wraparound in long sweeps and always appear in --trace exports.
+  // One sequential JOIN and a SELECT (the flat kernel, verified against
+  // the generic one on the same snapshot) at the *tail* of the run: their
+  // per-level join.level / select.level spans are the freshest events in
+  // the main thread's ring, so they survive wraparound in long sweeps and
+  // always appear in --trace exports.
   JoinResult tail_join = TreeJoin(r_frozen, s_frozen, op);
   bool tail_equal = tail_join.matches == baseline.matches;
   Value selector(Rectangle(500, 500, 1100, 1100));
-  SelectResult select_seq = SpatialSelect(selector, r_frozen, op);
-  bool select_equal = false;
-  {
-    exec::ThreadPool select_workers(widths.back());
-    SelectResult select_par =
-        exec::ParallelSelect(selector, r_frozen, op, &select_workers);
-    select_equal =
-        select_par.matching_tuples == select_seq.matching_tuples &&
-        select_par.theta_tests == select_seq.theta_tests;
-  }
+  SelectResult select_flat = SpatialSelect(selector, r_frozen, op);
+  SelectResult select_generic =
+      SpatialSelectFrom(selector, r_frozen, {r_frozen.root()}, op);
+  bool select_equal =
+      select_flat.matching_nodes == select_generic.matching_nodes &&
+      select_flat.matching_tuples == select_generic.matching_tuples &&
+      select_flat.theta_upper_tests == select_generic.theta_upper_tests &&
+      select_flat.theta_tests == select_generic.theta_tests;
   all_equal = all_equal && tail_equal && select_equal;
-  std::printf("%-28s tuples=%zu %s\n", "select(seq vs parallel)",
-              select_seq.matching_tuples.size(),
+  std::printf("%-28s tuples=%zu %s\n", "select(flat vs generic)",
+              select_flat.matching_tuples.size(),
               select_equal && tail_equal ? "results-identical"
                                          : "RESULT MISMATCH");
   curves.KV("select_tuples",
-            static_cast<int64_t>(select_seq.matching_tuples.size()));
+            static_cast<int64_t>(select_flat.matching_tuples.size()));
   curves.KV("select_results_identical", select_equal);
   curves.KV("all_results_identical", all_equal);
   curves.EndObject();

@@ -6,7 +6,7 @@
 #include "common/check.h"
 #include "exec/cancel.h"
 #include "exec/frozen_tree.h"
-#include "exec/parallel_select.h"
+#include "exec/parallel_join.h"
 #include "obs/flight_recorder.h"
 #include "obs/span.h"
 
@@ -144,11 +144,10 @@ SelectResult SpatialSelect(const Value& selector,
                            QueryTrace* trace,
                            const exec::CancelToken* cancel) {
   // A breadth-first selection over a FrozenTree takes the flat kernel
-  // (exec/parallel_select.h): same visits, counters, trace and stop points.
+  // (exec::FlatSelect): same visits, counters, trace and stop points.
   if (traversal == Traversal::kBreadthFirst) {
     if (const auto* frozen = dynamic_cast<const exec::FrozenTree*>(&tree)) {
-      return exec::ParallelSelect(selector, *frozen, op, /*pool=*/nullptr,
-                                  cancel, trace);
+      return exec::FlatSelect(selector, *frozen, op, cancel, trace);
     }
   }
   return SpatialSelectFrom(selector, tree, {tree.root()}, op, traversal,

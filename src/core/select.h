@@ -58,6 +58,10 @@ struct SelectResult {
 /// any realistic fanout): a cancelled or over-deadline selection stops
 /// there with the matches found so far, the token's latched reason
 /// marking the result partial (exec/cancel.h).
+///
+/// A breadth-first selection over an exec::FrozenTree runs the flat
+/// kernel (exec::FlatSelect) with the same visits, counters, trace and
+/// stop points.
 SelectResult SpatialSelect(const Value& selector,
                            const GeneralizationTree& tree,
                            const ThetaOperator& op,

@@ -13,7 +13,6 @@
 #include "exec/cancel.h"
 #include "exec/frozen_tree.h"
 #include "exec/parallel_join.h"
-#include "exec/parallel_select.h"
 #include "exec/partitioned_join.h"
 #include "exec/thread_pool.h"
 #include "obs/attribution.h"
@@ -52,8 +51,6 @@ const char* SelectStrategyName(SelectStrategy strategy) {
       return "tree_select";
     case SelectStrategy::kJoinIndexLookup:
       return "join_index_lookup";
-    case SelectStrategy::kParallelTree:
-      return "parallel_tree_select";
   }
   return "unknown";
 }
@@ -124,11 +121,8 @@ JoinResult DispatchJoin(JoinStrategy strategy, const SpatialJoinContext& ctx,
           exec::CollectJoinItems(*ctx.r, ctx.col_r);
       std::vector<exec::JoinItem> s_items =
           exec::CollectJoinItems(*ctx.s, ctx.col_s);
-      exec::PartitionedJoinOptions options;
-      options.grid_cols = ctx.exec_grid;
-      options.grid_rows = ctx.exec_grid;
       return exec::PartitionedJoin(r_items, s_items, op, ctx.exec_pool,
-                                   options, ctx.cancel);
+                                   /*options=*/{}, ctx.cancel);
     }
   }
   SJ_CHECK_MSG(false, "unreachable");
@@ -178,7 +172,7 @@ struct QueryKindMetrics {
 // Every JoinStrategy and SelectStrategy (the last enumerators) has a slot.
 static_assert(static_cast<int>(JoinStrategy::kPartitionedJoin) <
                   QueryKindMetrics::kMaxStrategies &&
-              static_cast<int>(SelectStrategy::kParallelTree) <
+              static_cast<int>(SelectStrategy::kJoinIndexLookup) <
                   QueryKindMetrics::kMaxStrategies);
 
 // The one per-query wrapper, for in-process and served queries alike,
@@ -292,18 +286,6 @@ JoinResult DispatchSelect(SelectStrategy strategy,
         result.matches.emplace_back(selector_tid, s_tid);
       }
       return result;
-    }
-    case SelectStrategy::kParallelTree: {
-      SJ_CHECK_MSG(ctx.s_tree != nullptr,
-                   "parallel tree select needs a tree on S");
-      SJ_CHECK_MSG(ctx.exec_pool != nullptr,
-                   "parallel tree select needs a SpatialJoinContext."
-                   "exec_pool");
-      std::optional<exec::FrozenTree> s_snapshot;
-      return SelectAsJoinResult(
-          exec::ParallelSelect(selector, AsFrozen(*ctx.s_tree, &s_snapshot),
-                               op, ctx.exec_pool, ctx.cancel),
-          selector_tid);
     }
   }
   SJ_CHECK_MSG(false, "unreachable");

@@ -56,17 +56,14 @@ struct SpatialJoinContext {
   /// wall time, and match count on it; the tree strategies additionally
   /// fill per-level events (see QueryTrace).
   QueryTrace* trace = nullptr;
-  /// Worker pool for the parallel strategies (kParallelTreeJoin,
-  /// kPartitionedJoin, SelectStrategy::kParallelTree); dispatching one of
-  /// them with a null pool is a checked error. The storage layer is
-  /// single-threaded, so the dispatcher materializes thread-safe
-  /// snapshots on the calling thread before fanning out: exec::JoinItem
-  /// vectors for PBSM, and an exec::FrozenTree of each input tree that
-  /// is not one already (FrozenTree inputs are used as they are).
+  /// Worker pool for the parallel join strategies (kParallelTreeJoin,
+  /// kPartitionedJoin); dispatching one of them with a null pool is a
+  /// checked error. The storage layer is single-threaded, so the
+  /// dispatcher materializes thread-safe snapshots on the calling thread
+  /// before fanning out: exec::JoinItem vectors for PBSM, and an
+  /// exec::FrozenTree of each input tree that is not one already
+  /// (FrozenTree inputs are used as they are).
   exec::ThreadPool* exec_pool = nullptr;
-  /// Grid granularity for kPartitionedJoin (tiles per axis; 0 = derive
-  /// from the input size).
-  int exec_grid = 0;
   /// Wall-clock budget for the query in nanoseconds (0 = none). Two
   /// consumers: the flight recorder's watchdog (obs/flight_recorder.h)
   /// reports an over-deadline query with a deadline_exceeded event and a
@@ -102,7 +99,6 @@ enum class SelectStrategy {
   kExhaustive,       // strategy I
   kTree,             // strategy II (Algorithm SELECT)
   kJoinIndexLookup,  // strategy III; selector must be a stored R tuple
-  kParallelTree,     // strategy II with the frontier sharded per level
 };
 
 /// Display name for a selection strategy.

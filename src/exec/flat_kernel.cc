@@ -1,14 +1,15 @@
-// The flat FrozenTree kernel: Algorithm JOIN's JOIN2–JOIN4 and Algorithm
-// SELECT over FrozenTree's struct-of-arrays layout, under one level driver
-// that runs with or without a thread pool (DESIGN.md §7). Every Θ goes
-// through ThetaOperator::ThetaUpperBatch over MBR planes and every θ
-// through the scalar Theta on geometry references. The matches and their
-// order, the QualPairs, each trace level's worklist, pruned and descended
-// counts and the stop points are those of the generic kernel
-// (core/join_detail.h, core/select.cc). SELECT's counters are too. JOIN
-// runs θ only on pairs of application objects, the only pairs that can
-// match, and stops a JOIN4 pass led by any other node at the anchor's
-// children, so its Θ, θ and node-access counts are the work it did.
+// The flat FrozenTree kernel: Algorithm JOIN's JOIN2–JOIN4 under one
+// level driver that runs with or without a thread pool, and Algorithm
+// SELECT on the calling thread, both over FrozenTree's struct-of-arrays
+// layout (DESIGN.md §7). Every Θ goes through
+// ThetaOperator::ThetaUpperBatch over MBR planes and every θ through the
+// scalar Theta on geometry references. The matches and their order, the
+// QualPairs, each trace level's worklist, pruned and descended counts and
+// the stop points are those of the generic kernel (core/join_detail.h,
+// core/select.cc). SELECT's counters are too. JOIN runs θ only on pairs
+// of application objects, the only pairs that can match, and stops a
+// JOIN4 pass led by any other node at the anchor's children, so its Θ, θ
+// and node-access counts are the work it did.
 
 #include <algorithm>
 #include <utility>
@@ -16,7 +17,6 @@
 
 #include "common/analysis_annotations.h"
 #include "exec/parallel_join.h"
-#include "exec/parallel_select.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -26,9 +26,9 @@ namespace exec {
 
 namespace {
 
-// Work per pool task, in Θ tests: a join block row weighs its JOIN2 tests
-// plus the children its JOIN4 passes scan (CutPairRows), a select node
-// one. Chunks merge in order, so the cut never changes the output.
+// Work per pool task, in Θ tests: a block row weighs its JOIN2 tests plus
+// the children its JOIN4 passes scan (CutPairRows). Chunks merge in
+// order, so the cut never changes the output.
 constexpr int64_t kChunkWork = 4096;
 
 // Reusable rows for one thread of the kernel, sized once to the widest
@@ -335,12 +335,6 @@ SJ_HOT void SelectRun(const FrozenTree& tree, const Value& selector,
   }
 }
 
-// A pool task's share of one select level.
-struct SelectChunk {
-  SelectResult result;
-  std::vector<NodeRange> next;
-};
-
 }  // namespace
 
 JoinResult ParallelTreeJoin(const FrozenTree& r_tree, const FrozenTree& s_tree,
@@ -425,10 +419,9 @@ JoinResult ParallelTreeJoin(const FrozenTree& r_tree, const FrozenTree& s_tree,
   return result;
 }
 
-SelectResult ParallelSelect(const Value& selector, const FrozenTree& tree,
-                            const ThetaOperator& op, ThreadPool* pool,
-                            const CancelToken* cancel, QueryTrace* trace) {
-  const bool pooled = pool != nullptr;
+SelectResult FlatSelect(const Value& selector, const FrozenTree& tree,
+                        const ThetaOperator& op, const CancelToken* cancel,
+                        QueryTrace* trace) {
   SelectResult result;
   // Already cancelled / past deadline at entry: do no work at all.
   if (cancel != nullptr && cancel->ShouldStop()) return result;
@@ -438,101 +431,35 @@ SelectResult ParallelSelect(const Value& selector, const FrozenTree& tree,
 
   std::vector<NodeRange> frontier{{tree.root(), tree.root() + 1}};
   std::vector<NodeRange> next;
-  // SpatialSelect's stride: unpooled, the visit numbered 256·k beats the
-  // watchdog and polls `cancel` before it runs.
+  // SpatialSelectFrom's stride: the visit numbered 256·k beats the
+  // watchdog and polls `cancel` before it runs, so runs are cut there.
   uint32_t visits = 0;
   bool stopped = false;
-  int64_t levels_run = 0;
   while (!frontier.empty() && !stopped) {
-    // Pooled, the level barrier is the stop point (no chunk in flight).
-    if (pooled && levels_run > 0 && cancel != nullptr &&
-        cancel->ShouldStop()) {
-      break;
-    }
-    ++levels_run;
-    ScopedSpan span(pooled ? "parallel_select.level" : "select.level",
-                    pooled ? "exec" : "core");
-    if (pooled) {
-      int64_t level_nodes = 0;
-      for (const NodeRange& range : frontier) {
-        SJ_BOUNDED_WORK;  // one level's frontier; the level loop polls
-        level_nodes += range.size();
-      }
-      ActivityScope::BeatThisThread();
-      TraceCounter("select.frontier", level_nodes);
-    }
+    ScopedSpan span("select.level", "core");
     LevelTrace level_trace(trace, result.theta_upper_tests,
                            result.theta_tests);
     const int64_t visited_before = result.theta_upper_tests;
     const int64_t qualified_before = result.theta_tests;
     next.clear();
-
-    // Chunk c is frontier ranges [cuts[c], cuts[c + 1]).
-    std::vector<size_t> cuts{0};
-    if (pooled && pool->num_workers() > 1) {
-      int64_t run = 0;
-      for (size_t k = 0; k < frontier.size(); ++k) {
-        SJ_BOUNDED_WORK;  // one level's frontier; the level loop polls
-        run += frontier[k].size();
-        if (run >= kChunkWork) {
-          cuts.push_back(k + 1);
-          run = 0;
-        }
-      }
-      if (cuts.back() != frontier.size()) cuts.push_back(frontier.size());
-    }
-    if (cuts.size() > 2) {
-      const int64_t num_chunks = static_cast<int64_t>(cuts.size()) - 1;
-      std::vector<SelectChunk> chunks(static_cast<size_t>(num_chunks));
-      pool->ParallelFor(num_chunks, [&](int64_t c) {
-        SJ_SPAN_CAT("parallel_select.chunk", "exec");
-        SelectChunk& chunk = chunks[static_cast<size_t>(c)];
-        std::vector<uint8_t> chunk_hits(static_cast<size_t>(row));
-        for (size_t k = cuts[static_cast<size_t>(c)];
-             k < cuts[static_cast<size_t>(c) + 1]; ++k) {
-          SJ_BOUNDED_WORK;  // one chunk's ranges; the level loop polls
-          SelectRun(tree, selector, probe, op, frontier[k].begin,
-                    frontier[k].size(), chunk_hits.data(), &chunk.result,
-                    &chunk.next);
-        }
-      });
-      for (const SelectChunk& chunk : chunks) {
-        SJ_BOUNDED_WORK;  // one level's chunk merge; the level loop polls
-        const SelectResult& part = chunk.result;
-        result.matching_nodes.insert(result.matching_nodes.end(),
-                                     part.matching_nodes.begin(),
-                                     part.matching_nodes.end());
-        result.matching_tuples.insert(result.matching_tuples.end(),
-                                      part.matching_tuples.begin(),
-                                      part.matching_tuples.end());
-        result.theta_upper_tests += part.theta_upper_tests;
-        result.theta_tests += part.theta_tests;
-        result.nodes_accessed += part.nodes_accessed;
-        next.insert(next.end(), chunk.next.begin(), chunk.next.end());
-      }
-    } else {
-      for (const NodeRange& range : frontier) {
-        NodeId at = range.begin;
-        while (at < range.end) {
-          int64_t len = range.end - at;
-          if (!pooled) {
-            const uint32_t residue = (visits + 1) & 0xFF;
-            if (residue == 0) {
-              ActivityScope::BeatThisThread();
-              if (cancel != nullptr && cancel->ShouldStop()) {
-                stopped = true;
-                break;
-              }
-            }
-            len = std::min<int64_t>(len, 256 - residue);
-            visits += static_cast<uint32_t>(len);
+    for (const NodeRange& range : frontier) {
+      NodeId at = range.begin;
+      while (at < range.end) {
+        const uint32_t residue = (visits + 1) & 0xFF;
+        if (residue == 0) {
+          ActivityScope::BeatThisThread();
+          if (cancel != nullptr && cancel->ShouldStop()) {
+            stopped = true;
+            break;
           }
-          SelectRun(tree, selector, probe, op, at, len, hits.data(), &result,
-                    &next);
-          at += len;
         }
-        if (stopped) break;
+        const int64_t len = std::min<int64_t>(range.end - at, 256 - residue);
+        visits += static_cast<uint32_t>(len);
+        SelectRun(tree, selector, probe, op, at, len, hits.data(), &result,
+                  &next);
+        at += len;
       }
+      if (stopped) break;
     }
 
     // Like the generic per-visit accounting, a level stopped before its
@@ -545,15 +472,6 @@ SelectResult ParallelSelect(const Value& selector, const FrozenTree& tree,
                               visited - qualified, qualified);
     }
     frontier.swap(next);
-  }
-
-  if (pooled) {
-    static Counter* const runs =
-        MetricsRegistry::Global().GetCounter("exec.parallel_select.runs");
-    static Counter* const levels =
-        MetricsRegistry::Global().GetCounter("exec.parallel_select.levels");
-    runs->Increment();
-    levels->Increment(levels_run);
   }
   return result;
 }

@@ -2,6 +2,7 @@
 #define SPATIALJOIN_EXEC_PARALLEL_JOIN_H_
 
 #include "core/join.h"
+#include "core/select.h"
 #include "core/theta_ops.h"
 #include "exec/cancel.h"
 #include "exec/frozen_tree.h"
@@ -11,8 +12,8 @@
 namespace spatialjoin {
 namespace exec {
 
-/// Algorithm JOIN (paper §3.3) over two FrozenTrees: the flat kernel and
-/// its level driver (exec/flat_kernel.cc, DESIGN.md §7).
+/// Algorithm JOIN (paper §3.3) over two FrozenTrees: the flat kernel's
+/// join and its level driver (exec/flat_kernel.cc, DESIGN.md §7).
 ///
 /// Each QualPairs[j] level is held as cross-product blocks — the
 /// Θ-qualifying children of a × those of b, exactly as one JOIN4 step
@@ -47,6 +48,22 @@ JoinResult ParallelTreeJoin(const FrozenTree& r_tree, const FrozenTree& s_tree,
                             const ThetaOperator& op, ThreadPool* pool,
                             const CancelToken* cancel = nullptr,
                             QueryTrace* trace = nullptr);
+
+/// Algorithm SELECT (paper §3.2) over a FrozenTree, on the calling
+/// thread: the flat kernel's selection (exec/flat_kernel.cc), which
+/// breadth-first SpatialSelect runs for FrozenTree inputs, so callers
+/// reach it through SpatialSelect. Each QualNodes[j] frontier is a list of
+/// child id ranges, Θ-tested one run of siblings per
+/// ThetaOperator::ThetaUpperBatch call; qualifying nodes are θ-tested and
+/// their child ranges form the next frontier. The visits, the
+/// `matching_nodes` order, the counters, the `trace` levels and the stop
+/// points are those of the generic SpatialSelectFrom over the same tree:
+/// `cancel` is polled, and the watchdog heartbeat beats, at entry and
+/// before every 256th visit.
+SelectResult FlatSelect(const Value& selector, const FrozenTree& tree,
+                        const ThetaOperator& op,
+                        const CancelToken* cancel = nullptr,
+                        QueryTrace* trace = nullptr);
 
 }  // namespace exec
 }  // namespace spatialjoin

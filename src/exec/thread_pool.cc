@@ -1,6 +1,5 @@
 #include "exec/thread_pool.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <utility>
@@ -289,14 +288,6 @@ bool ThreadPool::Quiescent() const {
   Stats snapshot = stats();
   return snapshot.tasks_queued == 0 &&
          snapshot.tasks_submitted == snapshot.tasks_executed;
-}
-
-ThreadPool& ThreadPool::Shared() {
-  // Leaked on purpose: workers may outlive static destruction order.
-  // sj-lint: allow(naked-new)
-  static ThreadPool* pool = new ThreadPool(
-      std::max(1u, std::thread::hardware_concurrency()));
-  return *pool;
 }
 
 }  // namespace exec

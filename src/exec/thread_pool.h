@@ -32,8 +32,8 @@ namespace exec {
 /// completed (with a happens-before edge to the caller). *Scheduling* is
 /// nondeterministic, so callers that need deterministic output write into
 /// pre-sized per-index slots and merge in index order — the pattern used
-/// by ParallelTreeJoin / ParallelSelect / PartitionedJoin, which makes
-/// their results bit-identical across worker counts.
+/// by ParallelTreeJoin and PartitionedJoin, which makes their results
+/// bit-identical across worker counts.
 ///
 /// Tasks must not throw: the engine's failure mode is SJ_CHECK (abort),
 /// and an exception escaping a task terminates the process.
@@ -120,10 +120,6 @@ class ThreadPool {
   /// True iff no task is queued or in flight — the pool's steady-state
   /// invariant between queries (audited by audit::AuditThreadPool).
   bool Quiescent() const;
-
-  /// Process-wide pool sized to the hardware's concurrency, created on
-  /// first use. Callers that need an explicit width construct their own.
-  static ThreadPool& Shared();
 
  private:
   struct Worker {

@@ -4,7 +4,7 @@ namespace spatialjoin {
 namespace attribution {
 namespace internal {
 
-thread_local QueryCharges* tls_charges = nullptr;
+constinit thread_local QueryCharges* tls_charges = nullptr;
 
 }  // namespace internal
 }  // namespace attribution

@@ -80,8 +80,11 @@ class QueryCharges {
 namespace internal {
 /// The calling thread's active sink; null outside any query scope. Only
 /// QueryChargeScope writes it (hooks read it), so install/restore pairs
-/// are strictly nested per thread.
-extern thread_local QueryCharges* tls_charges;
+/// are strictly nested per thread. `constinit` tells every includer that
+/// it has no dynamic initializer, so accesses are plain TLS loads and
+/// stores rather than calls through a wrapper that tests a weak
+/// TLS-init symbol.
+extern constinit thread_local QueryCharges* tls_charges;
 }  // namespace internal
 
 /// RAII installation of `charges` as the calling thread's sink. Restores

@@ -322,7 +322,7 @@ Result<SelectRequest> DecodeSelectRequest(std::string_view payload) {
   if (reserved != 0) {
     return Status::InvalidArgument("nonzero reserved bits in SELECT");
   }
-  if (strategy > static_cast<uint8_t>(SelectStrategy::kParallelTree)) {
+  if (strategy > static_cast<uint8_t>(SelectStrategy::kJoinIndexLookup)) {
     return Status::InvalidArgument("unknown select strategy");
   }
   req.strategy = static_cast<SelectStrategy>(strategy);

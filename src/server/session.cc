@@ -30,7 +30,7 @@ namespace {
 /// index, or the (single-threaded) storage layer, none of which the
 /// service holds.
 bool WireSupportsSelect(SelectStrategy s) {
-  return s == SelectStrategy::kTree || s == SelectStrategy::kParallelTree;
+  return s == SelectStrategy::kTree;
 }
 
 bool WireSupportsJoin(JoinStrategy s) {

@@ -446,7 +446,7 @@ class DataflowCoverageTest(unittest.TestCase):
                          "spatialjoin::LocalJoinIndex::Execute",
                          "spatialjoin::exec::PartitionedJoin",
                          "spatialjoin::exec::ParallelTreeJoin",
-                         "spatialjoin::exec::ParallelSelect",
+                         "spatialjoin::exec::FlatSelect",
                          "spatialjoin::exec::RunPairRows",
                          "spatialjoin::exec::ScanBelow",
                          "spatialjoin::exec::SelectRun"):

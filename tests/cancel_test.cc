@@ -21,7 +21,6 @@
 #include "exec/cancel.h"
 #include "exec/frozen_tree.h"
 #include "exec/parallel_join.h"
-#include "exec/parallel_select.h"
 #include "exec/thread_pool.h"
 #include "obs/trace.h"
 #include "rtree/rtree.h"
@@ -150,6 +149,29 @@ TEST_F(CancelExecutionTest, PreExpiredDeadlineSelectDoesZeroWork) {
   EXPECT_TRUE(stopped.matching_tuples.empty());
   EXPECT_EQ(stopped.nodes_accessed, 0);
   EXPECT_EQ(token.reason(), exec::StopReason::kDeadline);
+
+  // The flat kernel over a FrozenTree snapshot makes the same entry
+  // check, for a pre-cancelled token as for a pre-expired one.
+  const exec::FrozenTree s_frozen = exec::FrozenTree::Materialize(*s_adapter_);
+  ASSERT_FALSE(SpatialSelect(selector, s_frozen, op).matching_tuples.empty());
+  exec::CancelToken cancelled;
+  cancelled.Cancel();
+  exec::CancelToken expired;
+  expired.ArmDeadline(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (exec::CancelToken* flat_token : {&cancelled, &expired}) {
+    QueryTrace trace("select");
+    const SelectResult flat =
+        SpatialSelect(selector, s_frozen, op, Traversal::kBreadthFirst,
+                      &trace, flat_token);
+    EXPECT_TRUE(flat.matching_nodes.empty());
+    EXPECT_TRUE(flat.matching_tuples.empty());
+    EXPECT_EQ(flat.theta_upper_tests, 0);
+    EXPECT_EQ(flat.nodes_accessed, 0);
+    EXPECT_TRUE(trace.levels().empty());
+  }
+  EXPECT_EQ(cancelled.reason(), exec::StopReason::kCancelled);
+  EXPECT_EQ(expired.reason(), exec::StopReason::kDeadline);
 }
 
 TEST_F(CancelExecutionTest, DispatcherDeadlineReturnsDeadlineExceeded) {
@@ -199,22 +221,6 @@ TEST_F(CancelExecutionTest, CancelledParallelJoinLeavesPoolQuiescent) {
 
   // The cancelled join reached its level barrier before stopping, so no
   // chunk task may be left behind on the pool.
-  EXPECT_TRUE(workers.Quiescent());
-  audit::AuditReport report = audit::AuditThreadPool(workers);
-  EXPECT_TRUE(report.ok()) << report.ToJson();
-}
-
-TEST_F(CancelExecutionTest, CancelledParallelSelectLeavesPoolQuiescent) {
-  OverlapsOp op;
-  exec::FrozenTree s_frozen = exec::FrozenTree::Materialize(*s_adapter_);
-  exec::ThreadPool workers(4);
-
-  exec::CancelToken token;
-  token.Cancel();
-  Value selector(Rectangle(100, 100, 400, 400));
-  SelectResult stopped =
-      exec::ParallelSelect(selector, s_frozen, op, &workers, &token);
-  EXPECT_TRUE(stopped.matching_tuples.empty());
   EXPECT_TRUE(workers.Quiescent());
   audit::AuditReport report = audit::AuditThreadPool(workers);
   EXPECT_TRUE(report.ok()) << report.ToJson();

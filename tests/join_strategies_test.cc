@@ -178,8 +178,8 @@ TEST_F(StrategiesTest, QueriesChargeKindAndStrategyCounters) {
   EXPECT_EQ(delta("query.select.strategy.exhaustive"), 2);
   EXPECT_EQ(delta("query.select.matches"),
             2 * static_cast<int64_t>(select.matches.size()));
-  // No test in this binary runs the pooled select.
-  EXPECT_EQ(after.count("query.select.strategy.parallel_tree_select"), 0u);
+  // No test in this binary runs the pooled tree join.
+  EXPECT_EQ(after.count("query.join.strategy.parallel_tree_join"), 0u);
 }
 
 // In-process queries record no event-log entry, whether they finish, are

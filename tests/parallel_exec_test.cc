@@ -17,7 +17,6 @@
 #include "core/theta_ops.h"
 #include "exec/frozen_tree.h"
 #include "exec/parallel_join.h"
-#include "exec/parallel_select.h"
 #include "exec/partitioned_join.h"
 #include "exec/thread_pool.h"
 #include "obs/trace.h"
@@ -136,8 +135,8 @@ std::unique_ptr<MemoryGenTree> RandomHierarchy(const Rectangle& world,
 
 // 100 blocks of 60 rectangles, each holding its center point: the
 // frontiers below the root's children (6000 nodes in 100 sibling runs,
-// then 6000 runs of one) are wide enough to be cut into pool chunks, and
-// the first of them feeds the second.
+// then 6000 runs of one) span many 256-visit poll strides, which cut the
+// flat SELECT's sibling runs, and the first of them feeds the second.
 std::unique_ptr<MemoryGenTree> WideHierarchy(const Rectangle& world) {
   auto tree = std::make_unique<MemoryGenTree>();
   const NodeId root = tree->AddNode(kInvalidNodeId, Value(world));
@@ -201,8 +200,8 @@ class ParallelExecTest : public ::testing::Test {
   std::unique_ptr<RTreeGenTree> s_adapter_;
 };
 
-// Pool widths under test; 0 means no pool (the path TreeJoin and
-// SpatialSelect take for FrozenTree inputs).
+// Pool widths under test; 0 means no pool (the path TreeJoin takes for
+// FrozenTree inputs).
 constexpr int kPoolWidths[] = {0, 1, 2, 4, 8};
 constexpr int kThreadWidths[] = {1, 2, 4, 8};
 
@@ -403,17 +402,16 @@ int64_t ExpectFlatJoinIsExact(const GeneralizationTree& r_src,
 }
 
 // The same contract for Algorithm SELECT: every Table 1 operator over
-// `selectors`, flat (no pool and every width) against the generic
-// SpatialSelect on the source. Node ids differ between a source and its
-// snapshot, so matching_nodes is compared against the generic traversal
-// of the snapshot (SpatialSelectFrom never dispatches). Returns the pool
-// tasks the widest runs executed.
-int64_t ExpectFlatSelectIsExact(const GeneralizationTree& src,
-                                const std::vector<Value>& selectors,
-                                const std::string& label) {
+// `selectors`, the flat kernel against the generic SpatialSelect on the
+// source. Node ids differ between a source and its snapshot, so
+// matching_nodes is compared against the generic traversal of the
+// snapshot (SpatialSelectFrom never dispatches).
+void ExpectFlatSelectIsExact(const GeneralizationTree& src,
+                             const std::vector<Value>& selectors,
+                             const std::string& label) {
   const exec::FrozenTree frozen = exec::FrozenTree::Materialize(src);
-  int64_t tasks = 0;
   for (const NamedOp& entry : Table1Operators()) {
+    const std::string where = label + " / " + entry.op->name();
     for (const Value& selector : selectors) {
       QueryTrace generic_trace("select");
       const SelectResult generic =
@@ -421,27 +419,19 @@ int64_t ExpectFlatSelectIsExact(const GeneralizationTree& src,
                         &generic_trace);
       const SelectResult generic_frozen = SpatialSelectFrom(
           selector, frozen, {frozen.root()}, *entry.op);
-      for (int width : kPoolWidths) {
-        const std::string where = Where(label, *entry.op, width);
-        std::unique_ptr<exec::ThreadPool> workers = PoolOfWidth(width);
-        CountingTheta counting(entry.op.get());
-        QueryTrace flat_trace("select");
-        const SelectResult flat = exec::ParallelSelect(
-            selector, frozen, counting, workers.get(), nullptr, &flat_trace);
-        EXPECT_EQ(flat.matching_tuples, generic.matching_tuples) << where;
-        EXPECT_EQ(flat.matching_nodes, generic_frozen.matching_nodes)
-            << where;
-        EXPECT_EQ(flat.theta_upper_tests, generic.theta_upper_tests) << where;
-        EXPECT_EQ(flat.theta_tests, generic.theta_tests) << where;
-        EXPECT_EQ(flat.nodes_accessed, generic.nodes_accessed) << where;
-        EXPECT_EQ(counting.theta_upper_count(), flat.theta_upper_tests)
-            << where;
-        EXPECT_EQ(counting.theta_count(), flat.theta_tests) << where;
-        if (width == 0) ExpectSameLevels(flat_trace, generic_trace, where);
-        if (workers != nullptr && width == 8) {
-          tasks += workers->stats().tasks_executed;
-        }
-      }
+      CountingTheta counting(entry.op.get());
+      QueryTrace flat_trace("select");
+      const SelectResult flat =
+          exec::FlatSelect(selector, frozen, counting, nullptr, &flat_trace);
+      EXPECT_EQ(flat.matching_tuples, generic.matching_tuples) << where;
+      EXPECT_EQ(flat.matching_nodes, generic_frozen.matching_nodes) << where;
+      EXPECT_EQ(flat.theta_upper_tests, generic.theta_upper_tests) << where;
+      EXPECT_EQ(flat.theta_tests, generic.theta_tests) << where;
+      EXPECT_EQ(flat.nodes_accessed, generic.nodes_accessed) << where;
+      EXPECT_EQ(counting.theta_upper_count(), flat.theta_upper_tests)
+          << where;
+      EXPECT_EQ(counting.theta_count(), flat.theta_tests) << where;
+      ExpectSameLevels(flat_trace, generic_trace, where);
       // SpatialSelect itself takes the flat kernel for a FrozenTree.
       const SelectResult dispatched =
           SpatialSelect(selector, frozen, *entry.op);
@@ -449,7 +439,6 @@ int64_t ExpectFlatSelectIsExact(const GeneralizationTree& src,
           << label;
     }
   }
-  return tasks;
 }
 
 TEST_F(ParallelExecTest, ParallelTreeJoinIsByteIdenticalToSequential) {
@@ -586,9 +575,10 @@ TEST_F(ParallelExecTest, ParallelSelectMatchesSequentialSelect) {
   ExpectFlatSelectIsExact(*OneNodeTree(Rectangle(100, 100, 300, 300)),
                           selectors, "one-node");
 
-  // Frontiers of 6000 nodes are cut into pool chunks.
+  // Frontiers of 6000 nodes, whose sibling runs the 256-visit poll
+  // stride cuts.
   auto wide = WideHierarchy(world_);
-  EXPECT_GT(ExpectFlatSelectIsExact(*wide, {Value(world_)}, "wide"), 0);
+  ExpectFlatSelectIsExact(*wide, {Value(world_)}, "wide");
 }
 
 TEST_F(ParallelExecTest, DispatcherRunsParallelStrategies) {
@@ -613,9 +603,14 @@ TEST_F(ParallelExecTest, DispatcherRunsParallelStrategies) {
   Value selector(gen.NextRect(20, 80));
   JoinResult tree_select = ExecuteSelect(SelectStrategy::kTree, ctx, selector,
                                          kInvalidTupleId, op);
-  JoinResult par_select = ExecuteSelect(SelectStrategy::kParallelTree, ctx,
-                                        selector, kInvalidTupleId, op);
-  EXPECT_EQ(par_select.matches, tree_select.matches);
+  // SELECT runs on the caller; over a FrozenTree, kTree takes the flat
+  // kernel.
+  const exec::FrozenTree s_frozen = exec::FrozenTree::Materialize(*s_adapter_);
+  SpatialJoinContext frozen_ctx = ctx;
+  frozen_ctx.s_tree = &s_frozen;
+  JoinResult flat_select = ExecuteSelect(SelectStrategy::kTree, frozen_ctx,
+                                         selector, kInvalidTupleId, op);
+  EXPECT_EQ(flat_select.matches, tree_select.matches);
 }
 
 // Rectangles laid out to straddle tile boundaries: with a forced 4x4 grid

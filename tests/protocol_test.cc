@@ -46,7 +46,7 @@ TEST(ProtocolFraming, PingPongRoundTrip) {
 TEST(ProtocolFraming, SelectRequestRoundTrip) {
   SelectRequest request;
   request.dataset_id = 3;
-  request.strategy = SelectStrategy::kParallelTree;
+  request.strategy = SelectStrategy::kJoinIndexLookup;
   request.op_code = static_cast<uint8_t>(WireOp::kWithinDistance);
   request.op_param = 12.5;
   request.selector = Rectangle(1.25, -2.5, 30.0, 40.0);
@@ -59,7 +59,7 @@ TEST(ProtocolFraming, SelectRequestRoundTrip) {
   Result<SelectRequest> decoded = DecodeSelectRequest(frame.payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().dataset_id, 3u);
-  EXPECT_EQ(decoded.value().strategy, SelectStrategy::kParallelTree);
+  EXPECT_EQ(decoded.value().strategy, SelectStrategy::kJoinIndexLookup);
   EXPECT_EQ(decoded.value().op_code,
             static_cast<uint8_t>(WireOp::kWithinDistance));
   EXPECT_DOUBLE_EQ(decoded.value().op_param, 12.5);
@@ -241,9 +241,15 @@ TEST(ProtocolValidation, SelectRequestRejectsMalformedPayloads) {
   bad[6] = 1;  // reserved bits
   EXPECT_FALSE(DecodeSelectRequest(bad).ok());
 
-  bad = payload;
-  bad[4] = 99;  // strategy out of range
-  EXPECT_FALSE(DecodeSelectRequest(bad).ok());
+  // Strategy bytes past the last SelectStrategy (kJoinIndexLookup = 2).
+  for (const uint8_t strategy : {uint8_t{3}, uint8_t{99}}) {
+    bad = payload;
+    bad[4] = static_cast<char>(strategy);
+    const Result<SelectRequest> decoded = DecodeSelectRequest(bad);
+    ASSERT_FALSE(decoded.ok()) << int{strategy};
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << int{strategy};
+  }
 
   // min > max rectangle.
   SelectRequest inverted = good;

@@ -198,7 +198,6 @@ class ServerTest : public ::testing::Test {
   JoinResult DirectSelect(const SelectRequest& request) {
     SpatialJoinContext ctx;
     ctx.s_tree = &direct_->s;
-    ctx.exec_pool = &pool_;
     Result<std::unique_ptr<ThetaOperator>> op =
         MakeWireOperator(request.op_code, request.op_param);
     return ExecuteSelect(request.strategy, ctx, Value(request.selector),
@@ -242,14 +241,10 @@ TEST_F(ServerTest, SelectIsByteIdenticalToDirectExecution) {
                                Rectangle(0, 0, 50, 50),
                                Rectangle(0, 0, 600, 600)};
   for (const Rectangle& window : windows) {
-    for (SelectStrategy strategy :
-         {SelectStrategy::kTree, SelectStrategy::kParallelTree}) {
-      SelectRequest request = OverlapSelect(0, window);
-      request.strategy = strategy;
-      Result<Reply> reply = client->Select(request);
-      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-      ExpectSameResult(reply.value(), DirectSelect(request));
-    }
+    const SelectRequest request = OverlapSelect(0, window);
+    Result<Reply> reply = client->Select(request);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ExpectSameResult(reply.value(), DirectSelect(request));
   }
 }
 
@@ -292,6 +287,19 @@ TEST_F(ServerTest, BadRequestsGetTypedErrorReplies) {
   ASSERT_TRUE(reply.ok());
   ASSERT_EQ(reply.value().type, MessageType::kError);
   EXPECT_EQ(reply.value().error_code, StatusCode::kInvalidArgument);
+
+  // SELECT strategies the wire does not serve: a valid enum value, and
+  // the byte past the last one.
+  for (const SelectStrategy strategy :
+       {SelectStrategy::kExhaustive, static_cast<SelectStrategy>(3)}) {
+    SelectRequest unserved = OverlapSelect(0, Rectangle(0, 0, 1, 1));
+    unserved.strategy = strategy;
+    reply = client->Select(unserved);
+    ASSERT_TRUE(reply.ok());
+    ASSERT_EQ(reply.value().type, MessageType::kError);
+    EXPECT_EQ(reply.value().error_code, StatusCode::kInvalidArgument)
+        << static_cast<int>(strategy);
+  }
 }
 
 TEST_F(ServerTest, ConcurrentMixedClientsAllGetCorrectReplies) {

@@ -75,6 +75,12 @@ void MaybeAudit(const GeneralizationTree& tree, AuditLevel min_level) {
   if (AuditEnabled(min_level)) Enforce(AuditGenTree(tree));
 }
 
+void MaybeAudit(const exec::FrozenTree& tree, AuditLevel min_level) {
+  if (!AuditEnabled(min_level)) return;
+  Enforce(AuditGenTree(tree));
+  Enforce(AuditFrozenTree(tree));
+}
+
 void MaybeAudit(const exec::ThreadPool& pool, AuditLevel min_level) {
   if (AuditEnabled(min_level)) Enforce(AuditThreadPool(pool));
 }

@@ -4,6 +4,7 @@
 #include "audit/audit_report.h"
 #include "btree/bplus_tree.h"
 #include "core/gentree.h"
+#include "exec/frozen_tree.h"
 #include "exec/thread_pool.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
@@ -57,6 +58,10 @@ void MaybeAudit(const HeapFile& file,
 void MaybeAudit(const BufferPool& pool,
                 AuditLevel min_level = AuditLevel::kParanoid);
 void MaybeAudit(const GeneralizationTree& tree,
+                AuditLevel min_level = AuditLevel::kParanoid);
+/// A FrozenTree gets the generalization-tree audit and the audit of its
+/// ring approximations.
+void MaybeAudit(const exec::FrozenTree& tree,
                 AuditLevel min_level = AuditLevel::kParanoid);
 void MaybeAudit(const exec::ThreadPool& pool,
                 AuditLevel min_level = AuditLevel::kParanoid);

@@ -2,6 +2,7 @@
 #define SPATIALJOIN_AUDIT_EXEC_AUDIT_H_
 
 #include "audit/audit_report.h"
+#include "exec/frozen_tree.h"
 #include "exec/thread_pool.h"
 
 namespace spatialjoin {
@@ -19,6 +20,17 @@ namespace audit {
 ///  * a quiescent pool has nothing queued;
 ///  * stolen tasks are a subset of executed tasks.
 AuditReport AuditThreadPool(const exec::ThreadPool& pool);
+
+/// Validator for a FrozenTree's ring approximations (RingApprox, built by
+/// Materialize; DESIGN.md §7). It passes only if every record is sound,
+/// so the multi-step refine cannot change a join's answer. Checks:
+///  * exactly the polygon application objects carry a record;
+///  * every vertex of a record's ring lies within its octagon's extents
+///    along x + y and x − y;
+///  * a record's disk (radius > 0) has its centre inside the ring (the
+///    even-odd rule), and every edge of the ring lies at least the radius
+///    plus half the margin from that centre.
+AuditReport AuditFrozenTree(const exec::FrozenTree& tree);
 
 }  // namespace audit
 }  // namespace spatialjoin

@@ -15,6 +15,7 @@
 #include "geometry/polyline.h"
 #include "geometry/predicates.h"
 #include "geometry/ring.h"
+#include "geometry/ring_approx.h"
 
 namespace spatialjoin {
 
@@ -205,6 +206,13 @@ bool GeometryContains(const Value& a, const Value& b) {
 // ThetaOperator / OverlapThetaUpperOp
 // --------------------------------------------------------------------------
 
+bool ThetaOperator::Theta(const Value& a, const RingApprox* approx_a,
+                          const Value& b, const RingApprox* approx_b) const {
+  (void)approx_a;
+  (void)approx_b;
+  return Theta(a, b);
+}
+
 SJ_HOT void ThetaOperator::ThetaUpperBatch(const Rectangle& probe,
                                            bool probe_is_left,
                                            const MbrPlanes& planes, int64_t n,
@@ -286,6 +294,18 @@ std::optional<Rectangle> WithinDistanceOp::ProbeWindow(
 
 bool OverlapsOp::Theta(const Value& a, const Value& b) const {
   return GeometriesOverlap(a, b);
+}
+
+bool OverlapsOp::Theta(const Value& a, const RingApprox* approx_a,
+                       const Value& b, const RingApprox* approx_b) const {
+  const Polygon* polygon_a = a.TryPolygon();
+  const Polygon* polygon_b = b.TryPolygon();
+  if (approx_a == nullptr || approx_b == nullptr || polygon_a == nullptr ||
+      polygon_b == nullptr) {
+    return GeometriesOverlap(a, b);
+  }
+  return RingsIntersectMultiStep(polygon_a->ring_view(), *approx_a,
+                                 polygon_b->ring_view(), *approx_b);
 }
 
 std::optional<Rectangle> OverlapsOp::ProbeWindow(

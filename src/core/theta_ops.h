@@ -11,6 +11,7 @@
 
 #include "geometry/point.h"
 #include "geometry/rectangle.h"
+#include "geometry/ring_approx.h"
 #include "relational/value.h"
 
 namespace spatialjoin {
@@ -90,6 +91,16 @@ class ThetaOperator {
 
   /// The exact user-level predicate o1 θ o2.
   virtual bool Theta(const Value& a, const Value& b) const = 0;
+
+  /// θ on operands that may carry ring approximations
+  /// (geometry/ring_approx.h): `approx_a` and `approx_b` are the
+  /// operands' records, or null for an operand without one. The answer is
+  /// always Theta(a, b)'s; an override may only use the records to reach
+  /// it sooner. The default ignores them, so every operator and decorator
+  /// without an override (CountingTheta among them) keeps the exact path.
+  /// The FrozenTree join kernel makes its θ tests through this overload.
+  virtual bool Theta(const Value& a, const RingApprox* approx_a,
+                     const Value& b, const RingApprox* approx_b) const;
 
   /// The conservative index-level predicate o1' Θ o2' on enclosing
   /// rectangles.
@@ -172,11 +183,16 @@ class OverlapThetaUpperOp : public ThetaOperator {
                        uint8_t* out) const override;
 };
 
-/// "o1 overlaps o2" — Θ is rectangle overlap (Table 1, row 2).
+/// "o1 overlaps o2" — Θ is rectangle overlap (Table 1, row 2). With a
+/// record on both operands (two polygons), θ is the multi-step refine
+/// RingsIntersectMultiStep: the approximations settle the pair where they
+/// can, RingsIntersect where they cannot, with the same answer.
 class OverlapsOp : public OverlapThetaUpperOp {
  public:
   std::string name() const override { return "overlaps"; }
   bool Theta(const Value& a, const Value& b) const override;
+  bool Theta(const Value& a, const RingApprox* approx_a, const Value& b,
+             const RingApprox* approx_b) const override;
   std::optional<Rectangle> ProbeWindow(
       const Rectangle& b, const Rectangle& world) const override;
   bool is_symmetric() const override { return true; }

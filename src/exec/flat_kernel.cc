@@ -2,14 +2,16 @@
 // level driver that runs with or without a thread pool, and Algorithm
 // SELECT on the calling thread, both over FrozenTree's struct-of-arrays
 // layout (DESIGN.md §7). Every Θ goes through
-// ThetaOperator::ThetaUpperBatch over MBR planes and every θ through the
-// scalar Theta on geometry references. The matches and their order, the
-// QualPairs, each trace level's worklist, pruned and descended counts and
-// the stop points are those of the generic kernel (core/join_detail.h,
-// core/select.cc). SELECT's counters are too. JOIN runs θ only on pairs
-// of application objects, the only pairs that can match, and stops a
-// JOIN4 pass led by any other node at the anchor's children, so its Θ, θ
-// and node-access counts are the work it did.
+// ThetaOperator::ThetaUpperBatch over MBR planes. SELECT's θ is the
+// scalar Theta on geometry references; JOIN's also passes both nodes'
+// ring approximations (FrozenTree::ApproxAt), with which `overlaps`
+// settles many polygon pairs before the exact ring test. The matches and
+// their order, the QualPairs, each trace level's worklist, pruned and
+// descended counts and the stop points are those of the generic kernel
+// (core/join_detail.h, core/select.cc). SELECT's counters are too. JOIN
+// runs θ only on pairs of application objects, the only pairs that can
+// match, and stops a JOIN4 pass led by any other node at the anchor's
+// children, so its Θ, θ and node-access counts are the work it did.
 
 #include <algorithm>
 #include <utility>
@@ -116,6 +118,8 @@ SJ_HOT void ScanBelow(const FrozenTree& sel_tree, NodeId selector,
   const Rectangle probe = sel_tree.MbrAt(selector);
   const Value& selector_geom = sel_tree.GeometryRef(selector);
   const bool selector_app = sel_tree.IsApplicationAt(selector);
+  const RingApprox* selector_approx =
+      selector_app ? sel_tree.ApproxAt(selector) : nullptr;
   const TupleId selector_tuple = sel_tree.TupleAt(selector);
   const MbrPlanes planes = tree.planes();
   uint8_t* hits = scratch->pass_hits.data();
@@ -141,8 +145,11 @@ SJ_HOT void ScanBelow(const FrozenTree& sel_tree, NodeId selector,
         if (tree.IsApplicationAt(node)) {
           ++out->theta_tests;
           const Value& geometry = tree.GeometryRef(node);
-          if (selector_is_r ? op.Theta(selector_geom, geometry)
-                            : op.Theta(geometry, selector_geom)) {
+          const RingApprox* approx = tree.ApproxAt(node);
+          if (selector_is_r
+                  ? op.Theta(selector_geom, selector_approx, geometry, approx)
+                  : op.Theta(geometry, approx, selector_geom,
+                             selector_approx)) {
             const TupleId tuple = tree.TupleAt(node);
             if (selector_is_r) {
               out->matches.emplace_back(selector_tuple, tuple);
@@ -170,7 +177,8 @@ SJ_HOT void JoinPassedPair(const FrozenTree& r_tree,
   out->nodes_accessed += 2;
   if (r_tree.IsApplicationAt(a) && s_tree.IsApplicationAt(b)) {
     ++out->theta_tests;
-    if (op.Theta(r_tree.GeometryRef(a), s_tree.GeometryRef(b))) {
+    if (op.Theta(r_tree.GeometryRef(a), r_tree.ApproxAt(a),
+                 s_tree.GeometryRef(b), s_tree.ApproxAt(b))) {
       out->matches.emplace_back(r_tree.TupleAt(a), s_tree.TupleAt(b));
     }
   }

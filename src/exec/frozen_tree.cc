@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/analysis_annotations.h"
+#include "geometry/polygon.h"
 #include "obs/span.h"
 
 namespace spatialjoin {
@@ -40,7 +41,22 @@ FrozenTree FrozenTree::Materialize(const GeneralizationTree& source) {
     frozen.mbrs_.AppendMbr(source.MbrOf(src));
     frozen.tuples_.push_back(source.TupleOf(src));
     frozen.heights_.push_back(source.HeightOf(src));
-    frozen.application_.push_back(source.IsApplicationNode(src) ? 1 : 0);
+    const bool application = source.IsApplicationNode(src);
+    frozen.application_.push_back(application ? 1 : 0);
+    // The ring approximations, built while the ring just copied is in
+    // cache. Storage appears with the first polygon application object,
+    // unbuilt records standing in for the nodes before it.
+    const Polygon* polygon =
+        application ? frozen.geometries_.back().TryPolygon() : nullptr;
+    if (polygon != nullptr && frozen.approx_.empty()) {
+      frozen.approx_.reserve(expected);
+      frozen.approx_.resize(frozen.geometries_.size() - 1);
+    }
+    if (!frozen.approx_.empty()) {
+      frozen.approx_.push_back(polygon != nullptr
+                                   ? BuildRingApprox(polygon->ring_view())
+                                   : RingApprox{});
+    }
     std::vector<NodeId> kids = source.Children(src);
     frozen.child_offsets_.push_back(next_dense);
     next_dense += static_cast<NodeId>(kids.size());

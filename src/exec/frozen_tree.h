@@ -8,6 +8,7 @@
 #include "common/thread_annotations.h"
 #include "core/gentree.h"
 #include "core/theta_ops.h"
+#include "geometry/ring_approx.h"
 
 namespace spatialjoin {
 namespace exec {
@@ -35,7 +36,9 @@ struct NodeRange {
 /// replaces any child list. MBRs live in four coordinate planes
 /// (MbrPlanes), which the join kernel hands to
 /// ThetaOperator::ThetaUpperBatch a row at a time; geometries are held out
-/// of line and touched only by θ.
+/// of line and touched only by θ. Every polygon application object also
+/// gets a RingApprox record, built by the same walk and read by θ before
+/// the geometry; a tree without one allocates no records.
 class FrozenTree : public GeneralizationTree {
  public:
   /// Snapshots `source` (single-threaded; pays the full tree's I/O).
@@ -91,6 +94,17 @@ class FrozenTree : public GeneralizationTree {
     SJ_DCHECK(node >= 0 && node < num_nodes());
     return heights_[static_cast<size_t>(node)];
   }
+  /// The ring approximations of `node`'s polygon, or null when the node
+  /// is no polygon application object.
+  SJ_HOT const RingApprox* ApproxAt(NodeId node) const {
+    SJ_DCHECK(node >= 0 && node < num_nodes());
+    if (approx_.empty()) return nullptr;
+    const RingApprox& approx = approx_[static_cast<size_t>(node)];
+    return approx.built() ? &approx : nullptr;
+  }
+  /// True iff the tree holds any record (it has a polygon application
+  /// object); a tree without one allocates no record storage.
+  bool has_approx() const { return !approx_.empty(); }
   /// Largest child count of any node (sizes the kernel's scratch rows).
   SJ_HOT int64_t max_fanout() const { return max_fanout_; }
 
@@ -104,6 +118,9 @@ class FrozenTree : public GeneralizationTree {
   std::vector<TupleId> tuples_;
   std::vector<int> heights_;
   std::vector<uint8_t> application_;
+  // Indexed by node id, unbuilt for every node that is no polygon
+  // application object; empty when no node is one.
+  std::vector<RingApprox> approx_;
   // Children of node i are [child_offsets_[i], child_offsets_[i + 1]).
   std::vector<NodeId> child_offsets_;
   int height_ = 0;

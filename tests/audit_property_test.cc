@@ -1,15 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "audit/audit_hook.h"
+#include "audit/exec_audit.h"
 #include "btree/bplus_tree.h"
 #include "common/random.h"
+#include "core/memory_gentree.h"
+#include "exec/frozen_tree.h"
+#include "geometry/polygon.h"
 #include "geometry/rectangle.h"
 #include "rtree/rtree.h"
 #include "rtree/rtree_gentree.h"
@@ -206,6 +212,104 @@ TEST(HeapFilePropertyTest, RandomOpsKeepInvariantsAndMatchShadow) {
     scanned.emplace(rid, std::string(bytes));
   });
   ASSERT_EQ(scanned, shadow);
+}
+
+// ---------------------------------------------------------------------------
+// FrozenTree: the ring approximations Materialize builds for the multi-step
+// refine, over random polygon hierarchies.
+// ---------------------------------------------------------------------------
+
+// A random ring inside `cell`: a star about the cell's centre (convex or
+// deeply concave), a self-crossing ring of random vertices, a ring with
+// repeated vertices, or a zero-area ring of collinear vertices.
+Polygon RandomRingIn(Rng* rng, const Rectangle& cell) {
+  const Point c = cell.Center();
+  const double reach = std::min(cell.width(), cell.height()) / 2;
+  std::vector<Point> ring;
+  switch (rng->NextUint64(4)) {
+    case 0: {  // star, radii spanning up to 8x
+      const int n = 3 + static_cast<int>(rng->NextUint64(22));
+      for (int i = 0; i < n; ++i) {
+        const double angle = 2 * M_PI * i / n;
+        const double r = reach * rng->NextDouble(0.125, 1.0);
+        ring.emplace_back(c.x + r * std::cos(angle), c.y + r * std::sin(angle));
+      }
+      break;
+    }
+    case 1: {  // random vertices: self-crossing as often as not
+      const int n = 3 + static_cast<int>(rng->NextUint64(8));
+      for (int i = 0; i < n; ++i) {
+        ring.emplace_back(rng->NextDouble(cell.min_x(), cell.max_x()),
+                          rng->NextDouble(cell.min_y(), cell.max_y()));
+      }
+      break;
+    }
+    case 2: {  // a square with every vertex doubled
+      for (const Point& corner :
+           {Point(c.x - reach, c.y - reach), Point(c.x + reach, c.y - reach),
+            Point(c.x + reach, c.y + reach), Point(c.x - reach, c.y + reach)}) {
+        ring.push_back(corner);
+        ring.push_back(corner);
+      }
+      break;
+    }
+    default: {  // collinear: zero area
+      for (int i = 0; i < 3; ++i) {
+        const double t = rng->NextDouble(-1, 1) * reach * 0.7;
+        ring.emplace_back(c.x + t, c.y + t);
+      }
+      break;
+    }
+  }
+  return Polygon(std::move(ring));
+}
+
+TEST(FrozenTreePropertyTest, RandomPolygonTreesCarrySoundRecords) {
+  ParanoidAuditScope paranoid;
+  Rng rng(1994);
+  int64_t records = 0;
+  int64_t disks = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    // A hierarchy (paper Fig. 3) whose nodes hold a random ring, or a
+    // rectangle, inside a random sub-cell of their parent's MBR; every
+    // third one is a technical node rather than an application object.
+    MemoryGenTree tree;
+    TupleId next_tuple = 0;
+    std::function<void(NodeId, const Rectangle&, int)> grow =
+        [&](NodeId parent, const Rectangle& cell, int depth) {
+          const int64_t kids = depth < 3 ? 1 + rng.NextInt(0, 4) : 0;
+          for (int64_t k = 0; k < kids; ++k) {
+            const double w = cell.width() * rng.NextDouble(0.2, 0.8);
+            const double h = cell.height() * rng.NextDouble(0.2, 0.8);
+            const double x = rng.NextDouble(cell.min_x(), cell.max_x() - w);
+            const double y = rng.NextDouble(cell.min_y(), cell.max_y() - h);
+            const Rectangle sub(x, y, x + w, y + h);
+            const Value geometry = rng.NextUint64(5) == 0
+                                       ? Value(sub)
+                                       : Value(RandomRingIn(&rng, sub));
+            const TupleId tuple =
+                rng.NextUint64(3) == 0 ? kInvalidTupleId : next_tuple++;
+            grow(tree.AddNode(parent, geometry, tuple), geometry.Mbr(),
+                 depth + 1);
+          }
+        };
+    const Rectangle world(0, 0, 1000, 1000);
+    grow(tree.AddNode(kInvalidNodeId, Value(world)), world, 0);
+    const exec::FrozenTree frozen = exec::FrozenTree::Materialize(tree);
+    audit::MaybeAudit(frozen);  // paranoid: aborts on an unsound record
+    const audit::AuditReport report = audit::AuditFrozenTree(frozen);
+    EXPECT_TRUE(report.ok()) << report.ToString();
+    EXPECT_GE(report.checks_run(), frozen.num_nodes());
+    for (NodeId node = 0; node < frozen.num_nodes(); ++node) {
+      if (const RingApprox* approx = frozen.ApproxAt(node)) {
+        ++records;
+        disks += approx->radius > 0 ? 1 : 0;
+      }
+    }
+  }
+  // Both kinds of record were audited: with a disk and without one.
+  EXPECT_GT(disks, 20);
+  EXPECT_GT(records - disks, 20);
 }
 
 }  // namespace

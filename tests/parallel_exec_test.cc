@@ -19,6 +19,7 @@
 #include "exec/parallel_join.h"
 #include "exec/partitioned_join.h"
 #include "exec/thread_pool.h"
+#include "geometry/ring_approx.h"
 #include "obs/trace.h"
 #include "rtree/rtree.h"
 #include "rtree/rtree_gentree.h"
@@ -63,12 +64,20 @@ struct RTreeSide {
   std::vector<Rectangle> mbrs;
 };
 
+// The star polygons RectGenerator::NextPolygon draws: `vertices`
+// vertices at radii in [min_radius, max_radius] about a random centre.
+struct StarShape {
+  double min_radius = 2;
+  double max_radius = 12;
+  int vertices = 6;
+};
+
 // `n` objects in `world`, indexed by an R-tree of node capacity
-// `max_entries`: convex polygons (6 vertices) or, with `polygons` false,
-// rectangles.
+// `max_entries`: star polygons of `shape` (by default convex-ish 6-gons)
+// or, with `polygons` false, rectangles.
 RTreeSide IndexedSide(BufferPool* pool, const Rectangle& world,
                       uint64_t seed, int64_t n, bool polygons,
-                      int max_entries) {
+                      int max_entries, const StarShape& shape = {}) {
   RTreeSide side;
   Schema schema({{"id", ValueType::kInt64},
                  {"geom", polygons ? ValueType::kPolygon
@@ -78,7 +87,9 @@ RTreeSide IndexedSide(BufferPool* pool, const Rectangle& world,
       std::make_unique<RTree>(pool, RTreeSplit::kQuadratic, max_entries);
   RectGenerator gen(world, seed);
   for (int64_t i = 0; i < n; ++i) {
-    Value object = polygons ? Value(gen.NextPolygon(2, 12, 6))
+    Value object = polygons ? Value(gen.NextPolygon(shape.min_radius,
+                                                    shape.max_radius,
+                                                    shape.vertices))
                             : Value(gen.NextRect(2, 30));
     side.mbrs.push_back(object.Mbr());
     side.rtree->Insert(object.Mbr(),
@@ -535,6 +546,99 @@ TEST_F(ParallelExecTest, FlatJoinThetaTestsOverlappingApplicationPairsOnce) {
   }
   // The equal-height joins are heavy enough to be cut into pool chunks.
   EXPECT_GT(tasks, 0);
+}
+
+TEST_F(ParallelExecTest, MultiStepRefineKeepsTheFlatJoinExact) {
+  // join_poly's shape: 16-vertex stars whose vertex radii span 8× (2.5 to
+  // 20). The operator is a plain OverlapsOp, so the flat kernel's θ takes
+  // the multi-step refine on the FrozenTrees' records (a CountingTheta,
+  // as ExpectFlatJoinIsExact uses, keeps the exact path).
+  const StarShape join_poly{2.5, 20, 16};
+  RTreeSide r = IndexedSide(&pool_, world_, 71, 400, true, 8, join_poly);
+  RTreeSide s = IndexedSide(&pool_, world_, 72, 400, true, 8, join_poly);
+  const exec::FrozenTree r_frozen = exec::FrozenTree::Materialize(*r.adapter);
+  const exec::FrozenTree s_frozen = exec::FrozenTree::Materialize(*s.adapter);
+  ASSERT_TRUE(r_frozen.has_approx());
+  ASSERT_TRUE(s_frozen.has_approx());
+  const OverlapsOp op;
+
+  // The approximations alone settle a large share of the θ candidates
+  // (pairs of objects whose MBRs overlap), or the test proves little.
+  int64_t candidates = 0;
+  int64_t settled = 0;
+  for (NodeId a = 0; a < r_frozen.num_nodes(); ++a) {
+    const RingApprox* approx_a = r_frozen.ApproxAt(a);
+    if (approx_a == nullptr) continue;
+    const RingView ring_a = r_frozen.GeometryRef(a).AsPolygon().ring_view();
+    for (NodeId b = 0; b < s_frozen.num_nodes(); ++b) {
+      const RingApprox* approx_b = s_frozen.ApproxAt(b);
+      if (approx_b == nullptr || !ring_a.mbr.Overlaps(s_frozen.MbrAt(b))) {
+        continue;
+      }
+      ++candidates;
+      const RingView ring_b =
+          s_frozen.GeometryRef(b).AsPolygon().ring_view();
+      settled += DecidingRule(ring_a, *approx_a, ring_b, *approx_b) !=
+                         RefineRule::kExact
+                     ? 1
+                     : 0;
+    }
+  }
+  ASSERT_GT(candidates, 1000);
+  EXPECT_GT(settled * 100, candidates * 30) << settled << " of " << candidates;
+
+  // Matches (in order), QualPairs and level shapes are the generic
+  // kernel's on the R-tree adapters; Θ, θ and node accesses, in total and
+  // per level, PrunedTreeJoin's.
+  QueryTrace generic_trace("join");
+  const JoinResult generic = TreeJoin(*r.adapter, *s.adapter, op,
+                                      &generic_trace);
+  QueryTrace pruned_trace("join");
+  const JoinResult pruned =
+      PrunedTreeJoin(*r.adapter, *s.adapter, op, &pruned_trace);
+  ASSERT_EQ(pruned.theta_tests, candidates);
+  for (int width : {1, 4}) {
+    const std::string where = Where("join_poly stars", op, width);
+    std::unique_ptr<exec::ThreadPool> workers = PoolOfWidth(width);
+    QueryTrace flat_trace("join");
+    const JoinResult flat = exec::ParallelTreeJoin(
+        r_frozen, s_frozen, op, workers.get(), nullptr, &flat_trace);
+    EXPECT_EQ(flat.matches, generic.matches) << where;
+    EXPECT_EQ(flat.qual_pairs_examined, generic.qual_pairs_examined)
+        << where;
+    EXPECT_EQ(flat.theta_upper_tests, pruned.theta_upper_tests) << where;
+    EXPECT_EQ(flat.theta_tests, pruned.theta_tests) << where;
+    EXPECT_EQ(flat.nodes_accessed, pruned.nodes_accessed) << where;
+    ExpectSameShape(flat_trace, generic_trace, where);
+    ExpectSameLevels(flat_trace, pruned_trace, where);
+    if (width == 4) {
+      EXPECT_GT(workers->stats().tasks_executed, 0) << where;
+    }
+  }
+}
+
+TEST_F(ParallelExecTest, RecordsGoToPolygonApplicationObjectsOnly) {
+  // Rectangles only: no record storage at all.
+  const exec::FrozenTree rects = exec::FrozenTree::Materialize(*r_adapter_);
+  EXPECT_FALSE(rects.has_approx());
+  for (NodeId node = 0; node < rects.num_nodes(); ++node) {
+    EXPECT_EQ(rects.ApproxAt(node), nullptr) << node;
+  }
+  // The Fig. 3 hierarchy: polygons at every level, rectangles and
+  // technical nodes between them. Exactly the polygon application
+  // objects carry a record, inner ones included.
+  auto hierarchy = RandomHierarchy(world_, 5);
+  const exec::FrozenTree frozen = exec::FrozenTree::Materialize(*hierarchy);
+  ASSERT_TRUE(frozen.has_approx());
+  int64_t inner_records = 0;
+  for (NodeId node = 0; node < frozen.num_nodes(); ++node) {
+    const bool polygon_object =
+        frozen.IsApplicationAt(node) &&
+        frozen.GeometryRef(node).type() == ValueType::kPolygon;
+    EXPECT_EQ(frozen.ApproxAt(node) != nullptr, polygon_object) << node;
+    if (polygon_object && frozen.ChildSpan(node).size() > 0) ++inner_records;
+  }
+  EXPECT_GT(inner_records, 0);
 }
 
 TEST_F(ParallelExecTest, PartitionedJoinMatchesSequentialResultSet) {

@@ -69,9 +69,11 @@ SelectResult SpatialSelect(const Value& selector,
                            QueryTrace* trace = nullptr,
                            const exec::CancelToken* cancel = nullptr);
 
-/// As SpatialSelect, but starting from an explicit set of root nodes
-/// (used by Algorithm JOIN's step JOIN4 to search the subtrees below a
-/// qualifying node without re-testing that node).
+/// As SpatialSelect, but starting from an explicit set of root nodes, and
+/// always the generic kernel, whatever the tree: the reference that the
+/// flat SELECT (exec::FlatSelect) is checked against. Neither JOIN
+/// kernel's step JOIN4 calls it (the generic one runs
+/// join_detail::SelectPass, the flat one ScanBelow).
 SelectResult SpatialSelectFrom(const Value& selector,
                                const GeneralizationTree& tree,
                                const std::vector<NodeId>& start_nodes,

@@ -108,7 +108,7 @@ JoinResult DispatchJoin(JoinStrategy strategy, const SpatialJoinContext& ctx,
       const exec::FrozenTree& r_frozen = AsFrozen(*ctx.r_tree, &r_snapshot);
       const exec::FrozenTree& s_frozen = AsFrozen(*ctx.s_tree, &s_snapshot);
       return exec::ParallelTreeJoin(r_frozen, s_frozen, op, ctx.exec_pool,
-                                    ctx.cancel);
+                                    ctx.cancel, ctx.trace);
     }
     case JoinStrategy::kPartitionedJoin: {
       SJ_CHECK(ctx.r != nullptr && ctx.s != nullptr);

@@ -133,8 +133,6 @@ Result<Reply> ServiceClient::Join(const JoinRequest& request) {
   return WaitReply(id.value());
 }
 
-void ServiceClient::CloseSend() { ::shutdown(fd_, SHUT_WR); }
-
 Status ServiceClient::SendFrame(const std::string& frame) {
   if (!broken_.ok()) return broken_;
   size_t sent = 0;

@@ -56,10 +56,6 @@ class ServiceClient {
   Result<Reply> Select(const SelectRequest& request);
   Result<Reply> Join(const JoinRequest& request);
 
-  /// Half-closes the write side, telling the server this client is done
-  /// (its reader sees EOF and cancels whatever is still in flight).
-  void CloseSend();
-
  private:
   explicit ServiceClient(int fd);
 

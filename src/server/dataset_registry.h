@@ -24,7 +24,7 @@ struct Dataset {
 
 /// Id → dataset map for the query service. Registration is a setup-phase
 /// activity: all datasets are added before Server::Start and the registry
-/// is immutable afterwards, so lookups from session readers and pool
+/// is immutable afterwards, so lookups from the I/O loop and pool
 /// workers need no lock (the Start call provides the publication edge).
 class DatasetRegistry {
  public:

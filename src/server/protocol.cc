@@ -290,11 +290,12 @@ std::string EncodeResultReply(uint64_t request_id, const JoinResult& result) {
 
 std::string EncodeErrorReply(uint64_t request_id, const Status& status) {
   std::string payload;
-  // Clamp the message so a pathological Status cannot overflow a frame.
+  // Clamp the message so a pathological Status cannot overflow a frame;
+  // the reserve is the clamp's bound, whatever the message.
   constexpr size_t kMaxErrorMessage = 1024;
-  std::string_view msg = status.message();
-  if (msg.size() > kMaxErrorMessage) msg = msg.substr(0, kMaxErrorMessage);
-  payload.reserve(4 + msg.size());
+  const std::string_view msg =
+      std::string_view(status.message()).substr(0, kMaxErrorMessage);
+  payload.reserve(4 + kMaxErrorMessage);
   payload.push_back(static_cast<char>(status.code()));
   payload.push_back(0);  // pad
   AppendU16(&payload, static_cast<uint16_t>(msg.size()));

@@ -1,6 +1,7 @@
 #ifndef SPATIALJOIN_SERVER_SERVER_H_
 #define SPATIALJOIN_SERVER_SERVER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -28,11 +29,12 @@ namespace server {
 /// legal before Start — the registry is lock-free because it is immutable
 /// while serving.
 ///
-/// Threads: one accept thread, one reader thread per live connection
-/// (joined once its session ends), and the caller-supplied work-stealing
-/// pool shared by *all* query execution (inter- and intra-query
-/// parallelism alike). The scheduler's admission bound is what keeps that
-/// sharing fair: at most `max_inflight` queries occupy the pool,
+/// Threads: one I/O thread, however many sessions are open, and the
+/// caller-supplied work-stealing pool shared by *all* query execution
+/// (inter- and intra-query parallelism alike). The I/O thread's epoll loop
+/// alone makes socket calls; a finished query queues its reply and wakes
+/// it through an eventfd. The scheduler's admission bound keeps the
+/// pool's sharing fair: at most `max_inflight` queries occupy it,
 /// everything beyond is rejected with a backpressure reply the moment it
 /// is decoded.
 class Server {
@@ -45,8 +47,6 @@ class Server {
     int max_inflight = 0;
     /// Deadline applied to requests that do not carry one (0 = none).
     int64_t default_deadline_ns = 0;
-    /// Listen backlog for bursts of connecting clients.
-    int listen_backlog = 128;
   };
 
   /// Fresh unique socket path under /tmp (AF_UNIX paths are limited to
@@ -65,51 +65,58 @@ class Server {
   /// clients put in SelectRequest/JoinRequest::dataset_id.
   uint32_t RegisterDataset(exec::FrozenTree r_tree, exec::FrozenTree s_tree);
 
-  /// Binds, listens, and spawns the accept thread. Fails (and leaves the
+  /// Binds, listens, and spawns the I/O thread. Fails (and leaves the
   /// server stopped) if the socket path cannot be bound.
   Status Start();
 
-  /// Graceful shutdown: stop accepting, half-close every session (their
-  /// readers exit; disconnect cancels the sessions' in-flight queries),
-  /// join all threads, drain the scheduler, remove the socket file. The
-  /// only way the accept loop ends.
+  /// Graceful shutdown: the loop closes the listener and reaps every
+  /// session (disconnect cancels their in-flight queries) and exits; the
+  /// scheduler drains; the socket file is removed.
   void Stop();
 
   const std::string& socket_path() const { return options_.socket_path; }
-  bool running() const { return accept_thread_.joinable(); }
   QueryScheduler::Stats scheduler_stats() const {
     return scheduler_.stats();
   }
   int max_inflight() const { return scheduler_.max_inflight(); }
 
  private:
-  void AcceptLoop();
-  /// Reader thread body: serves the session, then retires its entry.
-  void RunReader(int id, Session* session);
-  /// Joins the readers whose sessions have ended.
-  void JoinFinishedReaders();
+  using Sessions = std::unordered_map<int, std::shared_ptr<Session>>;
 
-  exec::ThreadPool* const pool_;
+  void RunLoop();
+  /// Accepts every pending connection. Returns when to re-arm the
+  /// listener if descriptors or memory ran out (it left the epoll set).
+  int64_t Accept();
+  /// Handles `events` (none: replies were queued) on a session's socket,
+  /// then waits for input unless over Session::kMaxQueuedBytes, and for
+  /// output while replies are queued.
+  void Serve(Sessions::iterator it, uint32_t events, char* buf,
+             size_t size);
+  void FlushWoken();
+  void Reap(Sessions::iterator it);
+  /// Pool side: hands the session to the loop and wakes it.
+  void Wake(int session_id);
+
   Options options_;
   DatasetRegistry registry_;
   QueryScheduler scheduler_;
+  const Session::Context session_context_;
 
   int listen_fd_ = -1;
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;  // eventfd: Wake() and Stop() write, the loop reads
   bool started_ = false;
-  std::thread accept_thread_;
-  int next_session_id_ = 0;  // accept thread only
+  std::atomic<bool> stopping_{false};
 
-  struct Reader {
-    std::shared_ptr<Session> session;
-    std::thread thread;
-  };
-  Mutex readers_mu_;
-  CondVar reader_exited_;
-  /// Live sessions by id. A reader erases its entry when its session
-  /// ends, dropping the server's reference (the socket closes once no
-  /// query holds the session), and parks its thread in finished_.
-  std::unordered_map<int, Reader> readers_ SJ_GUARDED_BY(readers_mu_);
-  std::vector<std::thread> finished_ SJ_GUARDED_BY(readers_mu_);
+  // Loop thread only.
+  int next_session_id_ = 0;
+  Sessions sessions_;  // by id
+
+  Mutex woken_mu_;
+  /// Sessions with replies queued since the loop last looked.
+  std::vector<int> woken_ SJ_GUARDED_BY(woken_mu_);
+
+  std::thread loop_thread_;  // after everything the loop uses
 };
 
 }  // namespace server

@@ -4,18 +4,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/check.h"
 #include "core/spatial_join.h"
 #include "obs/attribution.h"
 #include "obs/event_log.h"
-#include "obs/flight_recorder.h"
-#include "obs/span.h"
 #include "obs/timer.h"
 #include "relational/tuple.h"
 #include "relational/value.h"
@@ -29,13 +26,27 @@ namespace {
 /// over FrozenTree snapshots. The others need live relations, a join
 /// index, or the (single-threaded) storage layer, none of which the
 /// service holds.
-bool WireSupportsSelect(SelectStrategy s) {
-  return s == SelectStrategy::kTree;
-}
-
-bool WireSupportsJoin(JoinStrategy s) {
+bool WireServes(SelectStrategy s) { return s == SelectStrategy::kTree; }
+bool WireServes(JoinStrategy s) {
   return s == JoinStrategy::kTreeJoin ||
          s == JoinStrategy::kParallelTreeJoin;
+}
+
+const char* StrategyName(SelectStrategy s) { return SelectStrategyName(s); }
+const char* StrategyName(JoinStrategy s) { return JoinStrategyName(s); }
+
+JoinResult RunRequest(const SelectRequest& req, const Dataset& dataset,
+                      const ThetaOperator& op, SpatialJoinContext& ctx) {
+  ctx.s_tree = &dataset.s_tree;
+  return ExecuteSelect(req.strategy, ctx, Value(req.selector),
+                       kInvalidTupleId, op);
+}
+
+JoinResult RunRequest(const JoinRequest& req, const Dataset& dataset,
+                      const ThetaOperator& op, SpatialJoinContext& ctx) {
+  ctx.r_tree = &dataset.r_tree;
+  ctx.s_tree = &dataset.s_tree;
+  return ExecuteJoin(req.strategy, ctx, op);
 }
 
 }  // namespace
@@ -44,108 +55,88 @@ Session::Session(int fd, int id, const Context& context)
     : fd_(fd), id_(id), context_(context) {
   SJ_CHECK_GE(fd, 0);
   SJ_CHECK(context.registry != nullptr && context.scheduler != nullptr &&
-           context.pool != nullptr);
-}
-
-Session::~Session() {
-  // The last owner (reader thread or final query closure) closes the fd,
-  // so the descriptor can never be recycled under an in-flight reply.
-  ::close(fd_);
-}
-
-void Session::ServeLoop() {
-  char label[32];
-  std::snprintf(label, sizeof(label), "server.sess%d", id_);
-  Tracing::SetThreadName(label);
-  ActivityScope activity("server.session", "reader");
-  activity.SetDetail(label);
+           context.pool != nullptr && context.wake != nullptr);
   ServiceTelemetry::Global().OnSessionOpened();
   SJ_EVENT(kMessage, kInfo, "session%d opened", id_);
+}
 
-  FrameDecoder decoder;
-  char buf[1 << 16];
-  while (true) {
-    // A session blocked in recv() is idle, not stalled — the watchdog
-    // only minds the handling window between Beat() and the next recv.
-    activity.SetIdle(true);
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n == 0) break;  // EOF (client closed or Shutdown())
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    activity.Beat();
+bool Session::Serve(char* buf, size_t size) {
+  if (buf != nullptr) {
+    const ssize_t n = ::recv(fd_, buf, size, 0);
+    if (n == 0) return false;  // EOF: the client is done
+    if (n < 0) return errno == EAGAIN || errno == EWOULDBLOCK;
     // Feed's return and poisoned() agree; frames already complete in the
     // buffer ahead of any later corruption still drain below.
-    decoder.Feed(std::string_view(buf, static_cast<size_t>(n)))
+    decoder_.Feed(std::string_view(buf, static_cast<size_t>(n)))
         .IgnoreError();  // surfaced via poisoned() after the drain
-    Frame frame;
-    while (decoder.Next(&frame)) HandleFrame(frame);
-    if (decoder.poisoned()) {
-      // The stream is garbage, so no request id is attributable; id 0 by
-      // convention marks a connection-level protocol error.
-      SendFrame(EncodeErrorReply(0, decoder.error()));
-      ServiceTelemetry::Global().OnProtocolError();
-      SJ_EVENT(kMessage, kWarn, "session%d dropped: %s", id_,
-               decoder.error().message().c_str());
-      break;
-    }
   }
+  if (!Flush()) return false;
+  Frame frame;
+  while (QueuedBytes() <= kMaxQueuedBytes) {
+    if (!decoder_.Next(&frame)) break;
+    HandleFrame(frame);
+  }
+  if (decoder_.poisoned()) {
+    // The stream is garbage, so no request id is attributable; id 0 by
+    // convention marks a connection-level protocol error.
+    Queue(EncodeErrorReply(0, decoder_.error()));
+    ServiceTelemetry::Global().OnProtocolError();
+    SJ_EVENT(kMessage, kWarn, "session%d dropped: %s", id_,
+             decoder_.error().message().c_str());
+    Flush();
+    return false;
+  }
+  return Flush();
+}
 
+size_t Session::QueuedBytes() {
+  MutexLock lock(mu_);
+  return outbox_bytes_ + (sending_.size() - sent_);
+}
+
+void Session::Close() {
   // Disconnection cancels this session's outstanding queries: their
   // results are undeliverable, so finishing the traversals is pure waste.
-  std::vector<std::shared_ptr<exec::CancelToken>> orphans;
+  decltype(inflight_) orphans;
   {
     MutexLock lock(mu_);
-    orphans.reserve(inflight_.size());
-    for (auto& [rid, pending] : inflight_) {
-      SJ_BOUNDED_WORK;  // in-flight set capped by admission control
-      orphans.push_back(pending.token);
-    }
+    closed_ = true;
+    outbox_.clear();
+    orphans.swap(inflight_);
   }
-  for (auto& token : orphans) {
+  for (auto& [rid, token] : orphans) {
     SJ_BOUNDED_WORK;  // in-flight set capped by admission control
     token->Cancel();
   }
-  // Tell the peer the conversation is over (EOF on its recv). The fd
-  // itself stays open until the last in-flight reply closure releases its
-  // shared_ptr — shutdown is safe to race with those sends: they fail
-  // with EPIPE and mark write_failed_.
-  ::shutdown(fd_, SHUT_RDWR);
+  ::close(fd_);
   ServiceTelemetry::Global().OnSessionClosed();
   SJ_EVENT(kMessage, kInfo, "session%d closed (%zu queries orphaned)", id_,
            orphans.size());
 }
 
-void Session::Shutdown() {
-  // SHUT_RDWR, not close: the fd stays valid (and owned) until the last
-  // shared_ptr drops, while the reader's recv unblocks with 0.
-  ::shutdown(fd_, SHUT_RDWR);
-}
-
 void Session::HandleFrame(const Frame& frame) {
   if (!IsRequestType(frame.type)) {
-    SendFrame(EncodeErrorReply(
+    Queue(EncodeErrorReply(
         frame.request_id,
         Status::InvalidArgument("unexpected message type from client")));
     return;
   }
   switch (static_cast<MessageType>(frame.type)) {
     case MessageType::kPing:
-      SendFrame(EncodePong(frame.request_id));
+      Queue(EncodePong(frame.request_id));
       return;
     case MessageType::kSelect:
-      HandleSelect(frame.request_id, frame.payload);
+      HandleQuery(frame.request_id, DecodeSelectRequest(frame.payload));
       return;
     case MessageType::kJoin:
-      HandleJoin(frame.request_id, frame.payload);
+      HandleQuery(frame.request_id, DecodeJoinRequest(frame.payload));
       return;
     case MessageType::kCancel:
       HandleCancel(frame.request_id, frame.payload);
       return;
     case MessageType::kStats:
       if (!frame.payload.empty()) {
-        SendFrame(EncodeErrorReply(
+        Queue(EncodeErrorReply(
             frame.request_id,
             Status::InvalidArgument("STATS carries a payload")));
         return;
@@ -157,101 +148,56 @@ void Session::HandleFrame(const Frame& frame) {
   }
 }
 
-void Session::HandleSelect(uint64_t request_id, std::string_view payload) {
-  Result<SelectRequest> decoded = DecodeSelectRequest(payload);
+template <typename Request>
+void Session::HandleQuery(uint64_t request_id,
+                          const Result<Request>& decoded) {
   if (!decoded.ok()) {
-    SendFrame(EncodeErrorReply(request_id, decoded.status()));
+    Queue(EncodeErrorReply(request_id, decoded.status()));
     return;
   }
-  const SelectRequest req = decoded.value();
-  if (!WireSupportsSelect(req.strategy)) {
-    SendFrame(EncodeErrorReply(
+  const Request& req = decoded.value();
+  if (!WireServes(req.strategy)) {
+    Queue(EncodeErrorReply(
         request_id,
-        Status::InvalidArgument("select strategy not served over the wire")));
+        Status::InvalidArgument("strategy not served over the wire")));
     return;
   }
   const Dataset* dataset = context_.registry->Find(req.dataset_id);
   if (dataset == nullptr) {
-    SendFrame(
+    Queue(
         EncodeErrorReply(request_id, Status::NotFound("unknown dataset id")));
     return;
   }
   Result<std::unique_ptr<ThetaOperator>> op =
       MakeWireOperator(req.op_code, req.op_param);
   if (!op.ok()) {
-    SendFrame(EncodeErrorReply(request_id, op.status()));
+    Queue(EncodeErrorReply(request_id, op.status()));
     return;
   }
 
-  const int64_t deadline_ns = req.deadline_ns > 0
-                                  ? req.deadline_ns
-                                  : context_.default_deadline_ns;
-  auto token = std::make_shared<exec::CancelToken>();
-  const QueryInfo info{req.dataset_id, /*is_join=*/false,
-                       SelectStrategyName(req.strategy)};
-  AdmitQuery(request_id, info, token, deadline_ns,
+  AdmitQuery({.request_id = request_id, .session_id = id_,
+              .dataset_id = req.dataset_id,
+              .is_join = std::is_same_v<Request, JoinRequest>,
+              .strategy = StrategyName(req.strategy)},
+             req.deadline_ns,
              [req, dataset,
               op = std::shared_ptr<ThetaOperator>(std::move(op).value())](
                  SpatialJoinContext& ctx) {
-               ctx.s_tree = &dataset->s_tree;
-               return ExecuteSelect(req.strategy, ctx, Value(req.selector),
-                                    kInvalidTupleId, *op);
-             });
-}
-
-void Session::HandleJoin(uint64_t request_id, std::string_view payload) {
-  Result<JoinRequest> decoded = DecodeJoinRequest(payload);
-  if (!decoded.ok()) {
-    SendFrame(EncodeErrorReply(request_id, decoded.status()));
-    return;
-  }
-  const JoinRequest req = decoded.value();
-  if (!WireSupportsJoin(req.strategy)) {
-    SendFrame(EncodeErrorReply(
-        request_id,
-        Status::InvalidArgument("join strategy not served over the wire")));
-    return;
-  }
-  const Dataset* dataset = context_.registry->Find(req.dataset_id);
-  if (dataset == nullptr) {
-    SendFrame(
-        EncodeErrorReply(request_id, Status::NotFound("unknown dataset id")));
-    return;
-  }
-  Result<std::unique_ptr<ThetaOperator>> op =
-      MakeWireOperator(req.op_code, req.op_param);
-  if (!op.ok()) {
-    SendFrame(EncodeErrorReply(request_id, op.status()));
-    return;
-  }
-
-  const int64_t deadline_ns = req.deadline_ns > 0
-                                  ? req.deadline_ns
-                                  : context_.default_deadline_ns;
-  auto token = std::make_shared<exec::CancelToken>();
-  const QueryInfo info{req.dataset_id, /*is_join=*/true,
-                       JoinStrategyName(req.strategy)};
-  AdmitQuery(request_id, info, token, deadline_ns,
-             [req, dataset,
-              op = std::shared_ptr<ThetaOperator>(std::move(op).value())](
-                 SpatialJoinContext& ctx) {
-               ctx.r_tree = &dataset->r_tree;
-               ctx.s_tree = &dataset->s_tree;
-               return ExecuteJoin(req.strategy, ctx, *op);
+               return RunRequest(req, *dataset, *op, ctx);
              });
 }
 
 void Session::HandleCancel(uint64_t request_id, std::string_view payload) {
   Result<CancelRequest> decoded = DecodeCancelRequest(payload);
   if (!decoded.ok()) {
-    SendFrame(EncodeErrorReply(request_id, decoded.status()));
+    Queue(EncodeErrorReply(request_id, decoded.status()));
     return;
   }
   std::shared_ptr<exec::CancelToken> token;
   {
     MutexLock lock(mu_);
     auto it = inflight_.find(decoded.value().target_request_id);
-    if (it != inflight_.end()) token = it->second.token;
+    if (it != inflight_.end()) token = it->second;
   }
   // Cancelling an unknown/already-finished id is a no-op by design — the
   // cancel raced the completion, and the client sees the (valid) result
@@ -260,43 +206,46 @@ void Session::HandleCancel(uint64_t request_id, std::string_view payload) {
     token->Cancel();
     ServiceTelemetry::Global().OnCancelRequested();
   }
-  SendFrame(EncodePong(request_id));
+  Queue(EncodePong(request_id));
 }
 
 void Session::HandleStats(uint64_t request_id) {
-  // Answered inline on the reader thread, bypassing admission: STATS is
+  // Answered inline on the loop, bypassing admission: STATS is
   // an operator's window into the server, and it must keep working when
   // the scheduler is saturated and rejecting queries.
   std::ostringstream os;
   ServiceTelemetry::Global().WriteStatsJson(
       os, context_.scheduler->stats(), context_.scheduler->max_inflight(),
       context_.pool->stats());
-  SendFrame(EncodeStatsReply(request_id, os.str()));
+  Queue(EncodeStatsReply(request_id, os.str()));
 }
 
-void Session::AdmitQuery(uint64_t request_id, const QueryInfo& info,
-                         std::shared_ptr<exec::CancelToken> token,
-                         int64_t deadline_ns,
+void Session::AdmitQuery(QueryRecord record, int64_t deadline_ns,
                          std::function<JoinResult(SpatialJoinContext&)> run) {
+  const uint64_t request_id = record.request_id;
+  // The deadline runs from decode, so time spent queued counts against it.
+  const int64_t admit_ns = MonotonicNowNs();
+  const int64_t budget_ns =
+      deadline_ns > 0 ? deadline_ns : context_.default_deadline_ns;
+  const int64_t deadline_at_ns = budget_ns > 0 ? admit_ns + budget_ns : 0;
+  auto token = std::make_shared<exec::CancelToken>();
   bool inserted;
   {
     MutexLock lock(mu_);
     // Request ids identify in-flight queries (kCancel targets them), so a
     // duplicate must be refused before it can alias an existing token.
-    inserted = inflight_.emplace(request_id, PendingQuery{token}).second;
+    inserted = inflight_.emplace(request_id, token).second;
   }
-  // mu_ is released before SendFrame: mu_ and write_mu_ are never nested.
   if (!inserted) {
-    SendFrame(EncodeErrorReply(
+    Queue(EncodeErrorReply(
         request_id,
         Status::InvalidArgument("duplicate in-flight request id")));
     return;
   }
 
-  const int64_t admit_ns = MonotonicNowNs();
   Status admitted = context_.scheduler->Submit(
-      [self = shared_from_this(), request_id, info, token, deadline_ns,
-       admit_ns, run = std::move(run)] {
+      [self = shared_from_this(), request_id, record, token, deadline_at_ns,
+       admit_ns, run = std::move(run)]() mutable {
         // ExecuteJoin/ExecuteSelect open the query's one activity (with
         // this detail and the deadline) and span, and run it under this
         // sink: every thread working for it charges `charges`.
@@ -306,25 +255,26 @@ void Session::AdmitQuery(uint64_t request_id, const QueryInfo& info,
         SpatialJoinContext ctx;
         ctx.exec_pool = self->context_.pool;
         ctx.cancel = token.get();
-        ctx.deadline_budget_ns = deadline_ns;
         ctx.activity_detail = detail;
         attribution::QueryCharges charges;
         const int64_t start_ns = MonotonicNowNs();
+        // A query whose deadline passed while it was queued does not run.
+        // Otherwise it gets what remains, which is positive: ArmDeadline
+        // reads a budget <= 0 as no deadline at all.
+        const bool expired = deadline_at_ns != 0 && start_ns >= deadline_at_ns;
         JoinResult result;
-        {
+        if (!expired) {
+          ctx.deadline_budget_ns =
+              deadline_at_ns == 0 ? 0 : deadline_at_ns - start_ns;
           attribution::QueryChargeScope scope(&charges);
           result = run(ctx);
         }
         const int64_t end_ns = MonotonicNowNs();
-        const Status status = token->ToStatus();
+        const Status status =
+            expired ? Status::DeadlineExceeded("query deadline exceeded")
+                    : token->ToStatus();
         self->ForgetQuery(request_id);
 
-        QueryRecord record;
-        record.request_id = request_id;
-        record.session_id = self->id_;
-        record.dataset_id = info.dataset_id;
-        record.is_join = info.is_join;
-        record.strategy = info.strategy;
         record.end_ts_ns = end_ns;
         record.wall_ns = end_ns - admit_ns;
         record.charges = charges.Snapshot();
@@ -344,84 +294,66 @@ void Session::AdmitQuery(uint64_t request_id, const QueryInfo& info,
                       static_cast<double>(
                           std::max<int64_t>(1, result.theta_upper_tests));
 
-        ServiceTelemetry& telemetry = ServiceTelemetry::Global();
+        // The worker encodes the reply; the loop sends it.
+        std::string reply;
         if (!status.ok()) {
           record.outcome = status.code() == StatusCode::kCancelled
                                ? QueryOutcome::kCancelled
                                : QueryOutcome::kDeadline;
-          telemetry.RecordQuery(record);
-          self->SendFrame(EncodeErrorReply(request_id, status));
-          return;
-        }
-        if (result.matches.size() > kMaxResultPairs) {
+          reply = EncodeErrorReply(request_id, status);
+        } else if (result.matches.size() > kMaxResultPairs) {
           record.outcome = QueryOutcome::kOversized;
-          telemetry.RecordQuery(record);
-          self->SendFrame(EncodeErrorReply(
+          reply = EncodeErrorReply(
               request_id, Status::ResourceExhausted(
-                              "result exceeds the frame's pair capacity")));
-          return;
+                              "result exceeds the frame's pair capacity"));
+        } else {
+          reply = EncodeResultReply(request_id, result);
         }
-        record.outcome = QueryOutcome::kOk;
-        telemetry.RecordQuery(record);
-        self->SendFrame(EncodeResultReply(request_id, result));
+        ServiceTelemetry::Global().RecordQuery(record);
+        if (self->Queue(std::move(reply))) self->context_.wake(self->id_);
       });
   if (!admitted.ok()) {
     // Backpressure: undo the registration and tell the client now —
     // nothing was posted, so this rejection costs one reply frame.
     ForgetQuery(request_id);
-    SendFrame(EncodeErrorReply(request_id, admitted));
+    Queue(EncodeErrorReply(request_id, admitted));
   }
 }
 
-void Session::SendFrame(const std::string& frame) {
-  {
-    MutexLock lock(write_mu_);
-    if (write_failed_) return;
-    pending_writes_.push_back(frame);
-    if (writer_active_) return;  // the active drainer picks it up
-    writer_active_ = true;
-  }
-  DrainWrites();
+bool Session::Queue(std::string frame) {
+  MutexLock lock(mu_);
+  if (closed_) return false;
+  outbox_bytes_ += frame.size();
+  outbox_.push_back(std::move(frame));
+  return true;
 }
 
-void Session::DrainWrites() {
-  std::string frame;
+bool Session::Flush() {
   while (true) {
-    SJ_BOUNDED_WORK;  // drains the pending queue (one frame per admitted
-                      // reply) and exits when it is empty
-    {
-      MutexLock lock(write_mu_);
-      if (write_failed_ || pending_writes_.empty()) {
-        writer_active_ = false;
-        return;
+    SJ_BOUNDED_WORK;  // ends once the queue is empty or the socket full
+    if (sent_ == sending_.size()) {
+      MutexLock lock(mu_);
+      if (outbox_.empty()) {
+        std::string().swap(sending_);  // an idle session holds no buffer
+        sent_ = 0;
+        return true;
       }
-      frame = std::move(pending_writes_.front());
-      pending_writes_.pop_front();
+      sending_ = std::move(outbox_.front());
+      outbox_.pop_front();
+      outbox_bytes_ -= sending_.size();
+      sent_ = 0;
     }
-    // The send itself runs unlocked: the peer drains its socket at its
-    // own pace, and a slow client must not hold up the completion paths
-    // queueing behind write_mu_.
-    size_t sent = 0;
-    while (sent < frame.size()) {
-      SJ_BOUNDED_WORK;  // one frame's bytes (<= header + kMaxPayloadBytes)
-      // MSG_NOSIGNAL: a vanished client must surface as EPIPE here, not
-      // as a process-wide SIGPIPE (the engine installs no handler for
-      // it).
-      const ssize_t n = ::send(fd_, frame.data() + sent,
-                               frame.size() - sent, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        {
-          MutexLock lock(write_mu_);
-          write_failed_ = true;
-          writer_active_ = false;
-          pending_writes_.clear();  // nobody will ever send these
-        }
-        ServiceTelemetry::Global().OnWriteFailure();
-        return;
-      }
-      sent += static_cast<size_t>(n);
+    // MSG_NOSIGNAL: a vanished client must surface as EPIPE here, not as
+    // a process-wide SIGPIPE (the engine installs no handler for it).
+    const ssize_t n = ::send(fd_, sending_.data() + sent_,
+                             sending_.size() - sent_, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+      ServiceTelemetry::Global().OnWriteFailure();
+      return false;
     }
+    sent_ += static_cast<size_t>(n);
   }
 }
 

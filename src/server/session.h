@@ -1,6 +1,7 @@
 #ifndef SPATIALJOIN_SERVER_SESSION_H_
 #define SPATIALJOIN_SERVER_SESSION_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -23,20 +24,19 @@ namespace server {
 
 /// One client connection (DESIGN.md §12).
 ///
-/// A dedicated reader thread (ServeLoop, spawned by the server's accept
-/// loop) parses frames off the socket and handles them inline: pings and
-/// cancels are answered immediately, queries are decoded, admitted
-/// through the QueryScheduler, and executed as fire-and-forget pool
-/// tasks. Replies may therefore interleave in completion order — clients
-/// match them by request id.
+/// The server's I/O loop feeds the session what its socket has, and the
+/// session handles every complete frame inline: pings, cancels and STATS
+/// are answered at once, queries are decoded, admitted through the
+/// QueryScheduler, and executed as fire-and-forget pool tasks. Replies
+/// may therefore interleave in completion order — clients match them by
+/// request id. Every reply joins the session's output queue; only the
+/// loop sends.
 ///
-/// Threading & lifetime: the session is shared between its reader thread
-/// and every in-flight query closure (each holds a shared_ptr), so the
-/// object — and the socket fd it owns — outlives whichever finishes
-/// last. Two mutexes, never held together and never nested with the
-/// scheduler's or the pool's (lock order, DESIGN.md §12): `mu_` guards
-/// the in-flight request map, `write_mu_` serializes reply frames onto
-/// the socket so concurrent query completions cannot interleave bytes.
+/// Threading & lifetime: the loop owns the socket and the decoder; every
+/// in-flight query closure holds a shared_ptr, and a reply finished after
+/// Close() is dropped. `mu_` guards the in-flight map and the output
+/// queue; it never nests with the scheduler's or the pool's mutexes
+/// (lock order, DESIGN.md §12), and no socket call runs under it.
 class Session : public std::enable_shared_from_this<Session> {
  public:
   struct Context {
@@ -45,73 +45,69 @@ class Session : public std::enable_shared_from_this<Session> {
     exec::ThreadPool* pool = nullptr;
     /// Applied when a request carries deadline_ns == 0 (0 = no deadline).
     int64_t default_deadline_ns = 0;
+    /// Called on the pool worker after a query queued its reply: hands
+    /// the session (by id) to the loop, which sends it.
+    std::function<void(int)> wake;
   };
 
-  /// Takes ownership of `fd` (closed on destruction). `id` names the
-  /// session in events and trace tracks.
+  /// While more reply bytes than this are queued, the loop neither reads
+  /// nor handles buffered frames: any one frame fits, and a client that
+  /// stops reading holds at most this plus its in-flight queries' replies.
+  static constexpr size_t kMaxQueuedBytes =
+      kFrameHeaderBytes + kMaxPayloadBytes;
+
+  /// Takes ownership of `fd`, a non-blocking socket (Close() closes it).
+  /// `id` names the session in events and telemetry.
   Session(int fd, int id, const Context& context);
-  ~Session();
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Reader loop: runs until EOF, a socket error, or a poisoned frame
-  /// stream. On exit, cancels every query the session still has in
-  /// flight (their completions still run and send into the dead socket,
-  /// which fails benignly).
-  void ServeLoop();
+  // --- Loop thread only ------------------------------------------------
 
-  /// Half-closes the socket from another thread (server shutdown): the
-  /// reader's blocking recv returns 0 and ServeLoop exits.
-  void Shutdown();
+  /// Reads once into `buf` when it is non-null (the socket is readable),
+  /// sends queued replies, handles buffered frames while at most
+  /// kMaxQueuedBytes are queued, and sends again. False when the session
+  /// must be reaped: EOF, a socket error, or a poisoned stream (its id-0
+  /// error reply sent first, as far as the socket takes it).
+  bool Serve(char* buf, size_t size);
 
-  int id() const { return id_; }
+  /// Reply bytes queued and not yet sent.
+  size_t QueuedBytes();
+
+  /// Drops queued replies and later ones, cancels the in-flight queries
+  /// (their results are undeliverable) and closes the socket.
+  void Close();
+
+  int fd() const { return fd_; }
 
  private:
-  struct PendingQuery {
-    std::shared_ptr<exec::CancelToken> token;
-  };
-
-  /// What the completion path needs to label a QueryRecord; filled by
-  /// the decode handlers (strategy names are static storage).
-  struct QueryInfo {
-    uint32_t dataset_id = 0;
-    bool is_join = false;
-    const char* strategy = "";
-  };
-
   void HandleFrame(const Frame& frame);
-  void HandleSelect(uint64_t request_id, std::string_view payload);
-  void HandleJoin(uint64_t request_id, std::string_view payload);
+  /// A decoded SELECT or JOIN: checks that the wire serves its strategy
+  /// and that its dataset and operator exist, then admits it.
+  template <typename Request>
+  void HandleQuery(uint64_t request_id, const Result<Request>& decoded);
   void HandleCancel(uint64_t request_id, std::string_view payload);
   void HandleStats(uint64_t request_id);
 
   /// Registers a pending query and admits it; on any failure the error
-  /// reply has already been sent. `run` is the strategy-specific body:
-  /// it completes a context that carries the pool, token, deadline and
-  /// activity detail, and executes the query. The completion path is
-  /// shared — which is also where attribution charges are collected and
-  /// the query's QueryRecord is retained by ServiceTelemetry.
-  void AdmitQuery(uint64_t request_id, const QueryInfo& info,
-                  std::shared_ptr<exec::CancelToken> token,
-                  int64_t deadline_ns,
+  /// reply has already been queued. `record` holds the query's labels;
+  /// the completion fills in the rest. The deadline (the request's, else
+  /// the server default) runs from here. `run` is the strategy-specific
+  /// body: it completes a context that carries the pool, token, remaining
+  /// deadline and activity detail, and executes the query. The completion
+  /// path is shared — which is also where attribution charges are
+  /// collected and the QueryRecord is retained by ServiceTelemetry.
+  void AdmitQuery(QueryRecord record, int64_t deadline_ns,
                   std::function<JoinResult(SpatialJoinContext&)> run);
 
-  /// Serialized, complete write of one reply frame; on the first failure
-  /// the session goes write-dead and later replies are dropped (the
-  /// client is gone — queries still finish for their side effects).
-  ///
-  /// write_mu_ is never held across ::send (the client controls how
-  /// long a send blocks, and a query completion stuck behind it would
-  /// invert the scheduler's deadline priorities): the frame is queued
-  /// under the lock and exactly one caller at a time drains the queue
-  /// with the lock dropped around each send.
-  void SendFrame(const std::string& frame);
+  /// Appends a reply frame to the output queue (any thread); false once
+  /// the session is closed, when the reply is dropped.
+  bool Queue(std::string frame);
 
-  /// Drains pending_writes_ until empty or the socket fails. Called
-  /// only by the SendFrame invocation that installed itself as the
-  /// active writer (writer_active_).
-  void DrainWrites();
+  /// Sends queued replies until the queue is empty or the socket is
+  /// full (loop thread); false on a send error.
+  bool Flush();
 
   /// Removes a finished/failed query from the in-flight map.
   void ForgetQuery(uint64_t request_id);
@@ -120,16 +116,19 @@ class Session : public std::enable_shared_from_this<Session> {
   const int id_;
   const Context context_;
 
-  Mutex mu_;
-  std::unordered_map<uint64_t, PendingQuery> inflight_ SJ_GUARDED_BY(mu_);
+  // Loop thread only.
+  FrameDecoder decoder_;
+  std::string sending_;  // the frame being sent
+  size_t sent_ = 0;      // its bytes already sent
 
-  Mutex write_mu_;
-  bool write_failed_ SJ_GUARDED_BY(write_mu_) = false;
-  /// Reply frames waiting for the socket, in completion order.
-  std::deque<std::string> pending_writes_ SJ_GUARDED_BY(write_mu_);
-  /// True while some SendFrame call is draining the queue; at most one
-  /// drainer exists, so whole frames never interleave on the wire.
-  bool writer_active_ SJ_GUARDED_BY(write_mu_) = false;
+  Mutex mu_;
+  /// In-flight queries' cancel tokens by request id.
+  std::unordered_map<uint64_t, std::shared_ptr<exec::CancelToken>> inflight_
+      SJ_GUARDED_BY(mu_);
+  bool closed_ SJ_GUARDED_BY(mu_) = false;
+  /// Reply frames waiting for the loop, in completion order.
+  std::deque<std::string> outbox_ SJ_GUARDED_BY(mu_);
+  size_t outbox_bytes_ SJ_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace server

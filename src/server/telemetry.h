@@ -58,7 +58,7 @@ struct QueryRecord {
   int64_t end_ts_ns = 0;       ///< MonotonicNowNs at completion
   int64_t wall_ns = 0;         ///< admit → completion
   int64_t queue_wait_ns = 0;   ///< admission wait + summed pool-task waits
-  attribution::Charges charges;
+  attribution::Charges charges{};
   // The query's own counts, from its JoinResult.
   int64_t pairs_examined = 0;  ///< Θ-filter tests (theta_upper_tests)
   int64_t theta_tests = 0;     ///< exact-geometry tests actually run

@@ -453,17 +453,17 @@ class DataflowCoverageTest(unittest.TestCase):
             self.assertIn(expected, covered)
 
     def test_session_reply_path_has_no_blocking_under_lock(self):
-        """The fixed bug: DrainWrites sends with no session mutex held.
-        The dump must show the send path is still blocking (the checker
-        sees it) while the repo run stays clean (nothing holds a lock
-        across it)."""
+        """Only the I/O loop sends, from Session::Flush, with no session
+        mutex held. The dump must show the send path is still blocking
+        (the checker sees it) while the repo run stays clean (nothing
+        holds a lock across it)."""
         code, dump = self.dump("blocking-under-lock")
         self.assertEqual(code, 0)
         blocking = dump["blocking"]
-        drain = [q for q in blocking
-                 if q.endswith("Session::DrainWrites")]
-        self.assertTrue(drain, sorted(blocking)[:20])
-        self.assertIn("send", blocking[drain[0]])
+        flush = [q for q in blocking
+                 if q.endswith("Session::Flush")]
+        self.assertTrue(flush, sorted(blocking)[:20])
+        self.assertIn("send", blocking[flush[0]])
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = sj_analyze.main(

@@ -715,6 +715,32 @@ TEST_F(ParallelExecTest, DispatcherRunsParallelStrategies) {
   JoinResult flat_select = ExecuteSelect(SelectStrategy::kTree, frozen_ctx,
                                          selector, kInvalidTupleId, op);
   EXPECT_EQ(flat_select.matches, tree_select.matches);
+
+  // Traced over the same FrozenTree snapshots, the pooled join records
+  // the levels the sequential tree_join records (wall time aside).
+  const exec::FrozenTree r_frozen = exec::FrozenTree::Materialize(*r_adapter_);
+  frozen_ctx.r_tree = &r_frozen;
+  QueryTrace sequential_trace("join");
+  QueryTrace pooled_trace("join");
+  frozen_ctx.trace = &sequential_trace;
+  const JoinResult sequential =
+      ExecuteJoin(JoinStrategy::kTreeJoin, frozen_ctx, op);
+  frozen_ctx.trace = &pooled_trace;
+  const JoinResult pooled =
+      ExecuteJoin(JoinStrategy::kParallelTreeJoin, frozen_ctx, op);
+  EXPECT_EQ(pooled.matches, sequential.matches);
+  ASSERT_FALSE(sequential_trace.levels().empty());
+  ASSERT_EQ(pooled_trace.levels().size(), sequential_trace.levels().size());
+  for (size_t i = 0; i < sequential_trace.levels().size(); ++i) {
+    const TraceLevel& want = sequential_trace.levels()[i];
+    const TraceLevel& got = pooled_trace.levels()[i];
+    EXPECT_EQ(got.height, want.height) << "level " << i;
+    EXPECT_EQ(got.worklist, want.worklist) << "level " << i;
+    EXPECT_EQ(got.pruned, want.pruned) << "level " << i;
+    EXPECT_EQ(got.descended, want.descended) << "level " << i;
+    EXPECT_EQ(got.theta_upper_tests, want.theta_upper_tests) << "level " << i;
+    EXPECT_EQ(got.theta_tests, want.theta_tests) << "level " << i;
+  }
 }
 
 // Rectangles laid out to straddle tile boundaries: with a forced 4x4 grid

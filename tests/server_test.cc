@@ -38,6 +38,7 @@
 #include "obs/event_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "rtree/rtree.h"
 #include "rtree/rtree_gentree.h"
 #include "server/client.h"
@@ -112,6 +113,26 @@ int OpenDescriptorCount() {
   return count;
 }
 
+// Threads this process runs (`Threads:` in /proc/self/status).
+int ThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+// Polls `done` every millisecond for up to `seconds`; returns its last
+// value.
+template <typename Done>
+bool WaitFor(const Done& done, int seconds) {
+  for (int i = 0; i < seconds * 1000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
 // A raw connection whose receives time out, so a server that never
 // answers fails the caller instead of hanging it.
 class TimedConnection {
@@ -131,19 +152,18 @@ class TimedConnection {
     if (fd_ >= 0) ::close(fd_);
   }
 
-  bool SendPing(uint64_t request_id) {
-    const std::string frame = EncodePing(request_id);
-    return connected_ && ::send(fd_, frame.data(), frame.size(),
+  bool Send(const std::string& bytes) {
+    return connected_ && ::send(fd_, bytes.data(), bytes.size(),
                                 MSG_NOSIGNAL) ==
-                             static_cast<ssize_t>(frame.size());
+                             static_cast<ssize_t>(bytes.size());
   }
 
-  // True when the pong for `request_id` arrives before a receive times
-  // out.
-  bool AwaitPong(uint64_t request_id) {
-    Frame frame;
-    char buf[256];
-    while (!decoder_.Next(&frame)) {
+  bool SendPing(uint64_t request_id) { return Send(EncodePing(request_id)); }
+
+  // True when a whole frame arrives before a receive times out.
+  bool NextFrame(Frame* frame) {
+    char buf[4096];
+    while (!decoder_.Next(frame)) {
       const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
       if (n <= 0) return false;
       if (!decoder_.Feed(std::string_view(buf, static_cast<size_t>(n)))
@@ -151,8 +171,22 @@ class TimedConnection {
         return false;
       }
     }
-    return frame.type == static_cast<uint8_t>(MessageType::kPong) &&
+    return true;
+  }
+
+  // True when the pong for `request_id` is the next frame to arrive
+  // before a receive times out.
+  bool AwaitPong(uint64_t request_id) {
+    Frame frame;
+    return NextFrame(&frame) &&
+           frame.type == static_cast<uint8_t>(MessageType::kPong) &&
            frame.request_id == request_id;
+  }
+
+  // Receives once; true when some bytes arrived before the timeout.
+  bool ReceiveSome() {
+    char buf[4096];
+    return ::recv(fd_, buf, sizeof(buf), 0) > 0;
   }
 
   bool Ping() { return SendPing(1) && AwaitPong(1); }
@@ -697,17 +731,30 @@ TEST_F(ServerTest, ClosedSessionsReleaseTheirDescriptors) {
   }
   const int before = OpenDescriptorCount();
   ASSERT_GT(before, 0);
+  // One I/O thread serves every session: open sessions add no thread.
+  const int threads = ThreadCount();
+  ASSERT_GT(threads, 0);
+  {
+    std::vector<std::unique_ptr<TimedConnection>> idle;
+    for (int i = 0; i < 64; ++i) {
+      idle.push_back(
+          std::make_unique<TimedConnection>(server_->socket_path(), 5000));
+      ASSERT_TRUE(idle.back()->Ping()) << "session " << i;
+    }
+    EXPECT_EQ(ThreadCount(), threads);
+  }
   for (int cycle = 0; cycle < 2000; ++cycle) {
     TimedConnection connection(server_->socket_path(), 5000);
     ASSERT_TRUE(connection.Ping()) << "cycle " << cycle;
   }
-  // Readers see the last closes asynchronously; give them a moment.
+  // The loop sees the last closes asynchronously; give it a moment.
   int after = OpenDescriptorCount();
   for (int wait = 0; wait < 200 && after > before + 4; ++wait) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     after = OpenDescriptorCount();
   }
   EXPECT_LE(after, before + 4);
+  EXPECT_EQ(ThreadCount(), threads);
   TimedConnection last(server_->socket_path(), 5000);
   EXPECT_TRUE(last.Ping());
 }
@@ -893,8 +940,9 @@ TEST_F(ServerTest, EachServedQueryIsOneActivity) {
   ::rmdir(dir_template);
 
   // Exactly one row for the query, labelled with who asked; apart from
-  // it only the accept loop, the session's reader and pool workers.
+  // it only the server's one I/O loop and pool workers.
   EXPECT_EQ(query_rows, 1);
+  int loop_rows = 0;
   for (const JsonValue& row : activities) {
     const std::string kind = row.StringAt("kind");
     if (kind.rfind("query.", 0) == 0) {
@@ -902,12 +950,168 @@ TEST_F(ServerTest, EachServedQueryIsOneActivity) {
       EXPECT_EQ(row.StringAt("label"), "tree_join");
       EXPECT_EQ(row.StringAt("detail"),
                 "sess0 req" + std::to_string(id.value()));
+    } else if (kind == "server.loop") {
+      ++loop_rows;
     } else {
-      EXPECT_TRUE(kind == "server.accept" || kind == "server.session" ||
-                  kind == "pool.worker")
-          << kind << " / " << row.StringAt("label");
+      EXPECT_EQ(kind, "pool.worker") << row.StringAt("label");
     }
   }
+  EXPECT_EQ(loop_rows, 1);
+}
+
+TEST_F(ServerTest, StalledReadersDoNotHoldPoolWorkers) {
+  StartServer({}, /*with_heavy=*/true);
+  // One client per pool worker pipelines overlap joins on the heavy pair,
+  // whose replies (~0.3 MB) overflow a socket buffer, and never reads.
+  std::vector<std::unique_ptr<TimedConnection>> stalled;
+  for (int i = 0; i < pool_.num_workers(); ++i) {
+    stalled.push_back(
+        std::make_unique<TimedConnection>(server_->socket_path(), 5000));
+  }
+  uint64_t request_id = 1;
+  for (int round = 0; round < 12; ++round) {
+    for (auto& connection : stalled) {
+      ASSERT_TRUE(
+          connection->Send(EncodeJoinRequest(request_id++, OverlapJoin(1))));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  // Every admitted join finishes: its reply waits in its session's
+  // queue, not in a pool worker's send().
+  EXPECT_TRUE(WaitFor(
+      [&] { return server_->scheduler_stats().inflight == 0; }, 20));
+  std::unique_ptr<ServiceClient> client = Connect();
+  int answered = 0;
+  for (int i = 0; i < 20; ++i) {
+    Result<Reply> reply =
+        client->Select(OverlapSelect(0, Rectangle(100, 100, 400, 400)));
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    if (reply.value().type == MessageType::kResult) ++answered;
+  }
+  EXPECT_EQ(answered, 20);
+}
+
+TEST_F(ServerTest, StalledReaderQueuesAtMostAFrameOfReplies) {
+  StartServer({}, /*with_heavy=*/true);
+  Counter* closed =
+      MetricsRegistry::Global().GetCounter("server.sessions.closed");
+  auto stalled =
+      std::make_unique<TimedConnection>(server_->socket_path(), 5000);
+  for (uint64_t id = 1; id <= 200; ++id) {
+    ASSERT_TRUE(stalled->Send(EncodeJoinRequest(id, OverlapJoin(1))));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(WaitFor(
+      [&] { return server_->scheduler_stats().inflight == 0; }, 20));
+  // Once more than one frame's bytes (~14 replies) are queued, the loop
+  // stops reading the session: the rest of the joins stay in its socket.
+  EXPECT_LT(server_->scheduler_stats().admitted, 25);
+
+  // A session stalled with replies queued is still reaped when its
+  // client goes.
+  const int64_t closed_before = closed->Value();
+  stalled.reset();
+  EXPECT_TRUE(WaitFor([&] { return closed->Value() > closed_before; }, 5));
+}
+
+TEST_F(ServerTest, RequestSentByteByByteGetsOneReply) {
+  StartServer({});
+  TimedConnection connection(server_->socket_path(), 5000);
+  const SelectRequest request =
+      OverlapSelect(0, Rectangle(100, 100, 400, 400));
+  for (const char byte : EncodeSelectRequest(7, request)) {
+    ASSERT_TRUE(connection.Send(std::string(1, byte)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Frame frame;
+  ASSERT_TRUE(connection.NextFrame(&frame));
+  ASSERT_EQ(frame.request_id, 7u);
+  Result<Reply> reply = DecodeReply(static_cast<MessageType>(frame.type),
+                                    frame.request_id, frame.payload);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ExpectSameResult(reply.value(), DirectSelect(request));
+  // Exactly one reply: the next frame answers a later ping.
+  EXPECT_TRUE(connection.Ping());
+}
+
+TEST_F(ServerTest, DisconnectMidReplyReapsTheSession) {
+  StartServer({}, /*with_heavy=*/true);
+  Counter* closed =
+      MetricsRegistry::Global().GetCounter("server.sessions.closed");
+  const int64_t closed_before = closed->Value();
+  {
+    // The reply (~0.3 MB) is more than the socket holds: read its start
+    // and go while the rest is still being written.
+    TimedConnection connection(server_->socket_path(), 5000);
+    ASSERT_TRUE(connection.Send(EncodeJoinRequest(1, OverlapJoin(1))));
+    ASSERT_TRUE(connection.ReceiveSome());
+  }
+  EXPECT_TRUE(WaitFor([&] { return closed->Value() > closed_before; }, 5));
+  std::unique_ptr<ServiceClient> client = Connect();
+  for (int i = 0; i < 3; ++i) {
+    const SelectRequest request =
+        OverlapSelect(0, Rectangle(100, 100, 400, 400));
+    Result<Reply> reply = client->Select(request);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ExpectSameResult(reply.value(), DirectSelect(request));
+  }
+}
+
+// Plain TEST: the server runs on its own one-worker pool.
+TEST(ServerDeadlineTest, QueuedQueryPastItsDeadlineIsNotRun) {
+  exec::ThreadPool pool(1);
+  Server::Options options;
+  options.max_inflight = 2;
+  Server server(&pool, options);
+  FrozenPair heavy = MakeFrozenPair(51, 52, 2500);
+  ASSERT_EQ(server.RegisterDataset(std::move(heavy.r), std::move(heavy.s)),
+            0u);
+  ASSERT_TRUE(server.Start().ok());
+  Result<std::unique_ptr<ServiceClient>> connected =
+      ServiceClient::Connect(server.socket_path());
+  ASSERT_TRUE(connected.ok());
+  ServiceClient& client = *connected.value();
+  ServiceTelemetry::Global().Reset();
+
+  // The join (all pairs match: seconds of work) holds the only worker;
+  // the select queues behind it for ~50 ms against a 2 ms deadline.
+  JoinRequest heavy_join = OverlapJoin(0);
+  heavy_join.op_code = static_cast<uint8_t>(WireOp::kWithinDistance);
+  heavy_join.op_param = 1200.0;
+  Result<uint64_t> join_id = client.SendJoin(heavy_join);
+  ASSERT_TRUE(join_id.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  SelectRequest select = OverlapSelect(0, Rectangle(0, 0, 50, 50));
+  select.deadline_ns = 2'000'000;
+  Result<uint64_t> select_id = client.SendSelect(select);
+  ASSERT_TRUE(select_id.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(client.Cancel(join_id.value()).ok());
+
+  Result<Reply> reply = client.WaitReply(select_id.value());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply.value().type, MessageType::kError);
+  EXPECT_EQ(reply.value().error_code, StatusCode::kDeadlineExceeded);
+  Result<Reply> join = client.WaitReply(join_id.value());
+  ASSERT_TRUE(join.ok());
+  EXPECT_EQ(join.value().error_code, StatusCode::kCancelled);
+
+  // It never ran: its record says deadline, with no Θ test.
+  Result<std::string> stats = client.Stats();
+  ASSERT_TRUE(stats.ok());
+  const JsonDocument doc = ParseJson(stats.value());
+  ASSERT_TRUE(doc.ok()) << doc.error;
+  const JsonValue* recent = doc.root.Member("recent");
+  ASSERT_NE(recent, nullptr);
+  int select_records = 0;
+  for (const JsonValue& record : recent->items()) {
+    if (record.StringAt("kind") != "select") continue;
+    ++select_records;
+    EXPECT_EQ(record.StringAt("outcome"), "deadline");
+    EXPECT_EQ(record.IntAt("pairs_examined", -1), 0);
+  }
+  EXPECT_EQ(select_records, 1) << stats.value();
+  ServiceTelemetry::Global().Reset();
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // one-screen summary: throughput (completed-query deltas between polls),
 // windowed p50/p99 latency, in-flight/admission counters, and the
 // slow-query rings retained by ServiceTelemetry. STATS is answered
-// inline by the session reader thread, bypassing admission, so this
-// works exactly when the server is saturated and sj_top matters most.
+// inline by the server's I/O loop, bypassing admission, so this works
+// exactly when the server is saturated and sj_top matters most.
 //
 //   sj_top [--socket=PATH] [--interval-ms=N] [--once] [--snapshot=FILE]
 //

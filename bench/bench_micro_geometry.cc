@@ -2,6 +2,9 @@
 // per-C_θ building blocks of every strategy), via google-benchmark.
 #include <benchmark/benchmark.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -121,6 +124,57 @@ void BM_ThetaWithinDistance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ThetaWithinDistance);
+
+// The overlap family's batched Θ (OverlapThetaUpperOp, an SSE2 bit mask)
+// over rows of range(0) MBRs read from planes, as the flat kernel calls it
+// a row at a time: 8 is svc_steady's small-join fanout, 33 an odd row
+// that ends in the scalar tail, 102 join_rect's page-derived fanout
+// (two mask words). Probe sides are chosen so about range(1) percent of
+// the elements pass: 3 is join_rect's JOIN2 yield (2.4%), 50 a row where
+// half pass. `per_element` is seconds per element (ns shown as "n");
+// `pass_rate` is the measured share of set bits.
+void BM_ThetaUpperBatch(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const double pass = static_cast<double>(state.range(1)) / 100.0;
+  constexpr int64_t kRows = 256;
+  constexpr double kWorld = 1000.0;
+  RectGenerator gen(Rectangle(0, 0, kWorld, kWorld), 23);
+  MbrPlaneBuffer buffer;
+  buffer.Reserve(static_cast<size_t>(kRows * n));
+  for (int64_t i = 0; i < kRows * n; ++i) {
+    buffer.AppendMbr(gen.NextRect(20, 60));
+  }
+  // A probe of side p overlaps an element of mean side 40 with about
+  // ((40 + p) / kWorld)² odds.
+  const double side = std::sqrt(pass) * kWorld - 40.0;
+  std::vector<Rectangle> probes;
+  for (int64_t r = 0; r < kRows; ++r) {
+    probes.push_back(gen.NextRect(side, side));
+  }
+  const OverlapsOp op;
+  const MbrPlanes planes = buffer.view();
+  std::vector<uint64_t> out(static_cast<size_t>(MaskWords(n)));
+  int64_t row = 0;
+  for (auto _ : state) {
+    op.ThetaUpperBatch(probes[static_cast<size_t>(row)], true,
+                       planes.SubPlanes(row * n), n, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    row = row + 1 == kRows ? 0 : row + 1;
+  }
+  state.counters["per_element"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * n),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  int64_t hits = 0;
+  for (row = 0; row < kRows; ++row) {
+    op.ThetaUpperBatch(probes[static_cast<size_t>(row)], true,
+                       planes.SubPlanes(row * n), n, out.data());
+    for (uint64_t word : out) hits += std::popcount(word);
+  }
+  state.counters["pass_rate"] =
+      static_cast<double>(hits) / static_cast<double>(kRows * n);
+}
+BENCHMARK(BM_ThetaUpperBatch)->ArgsProduct({{8, 33, 102}, {3, 50}});
 
 void BM_ZInterleave(benchmark::State& state) {
   uint32_t x = 12345;

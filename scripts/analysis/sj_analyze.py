@@ -658,6 +658,14 @@ _VARCHAIN_RE = re.compile(
 _LOOP_HEAD_RE = re.compile(r"\b(for|while)\s*\(")
 _DO_RE = re.compile(r"\bdo\s*\{")
 _BOUNDED_WORK_RE = re.compile(r"\bSJ_BOUNDED_WORK\b")
+# The head of an if/while/switch whose body may share its statement chunk
+# (`while (d.Next(&f)) Handle(f);`).
+_CONTROL_HEAD_RE = re.compile(r"\s*(?:else\s+)?(?:if|while|switch)\s*\(")
+# A lambda's capture list: `[...]` where an expression starts, followed by
+# its parameters, its body, or the chunk's end (the body's `{` ends it).
+_LAMBDA_CAPTURES_RE = re.compile(
+    r"((?:^|[(,=?:]|\breturn)\s*)\[([^\][]*)\]"
+    r"(?=\s*(?:\(|\{|mutable\b|->|$))")
 # A loop condition comparing one variable against an integer literal, a
 # kConstant, or a SHOUTY constant does manifestly bounded work.
 _BOUNDED_COND_RE = re.compile(
@@ -785,9 +793,28 @@ def _match_brace(text, open_pos):
     return len(text) - 1
 
 
+def _control_head_end(body, start, end):
+    """End of an if/while/switch head that opens the chunk
+    [start, end) and is followed by a one-statement body in the same
+    chunk, or None. The head's calls run before the body's, so the two
+    are evaluated as separate statements in that order."""
+    m = _CONTROL_HEAD_RE.match(body, start, end)
+    if not m:
+        return None
+    close = _match_paren(body, m.end() - 1)
+    if close == -1 or close >= end or not body[close + 1:end].strip():
+        return None
+    return close + 1
+
+
 def _df_statement(body, start, end, body_start, lines):
-    """One statement chunk -> a dflow entry dict, or None."""
-    s = body[start:end]
+    """One statement chunk -> a dflow entry dict, or None. A lambda's
+    captures are blanked: they feed the lambda's body (analysed with
+    the enclosing function), not the value of the expression that
+    creates it."""
+    s = _LAMBDA_CAPTURES_RE.sub(
+        lambda m: m.group(1) + "[" + " " * len(m.group(2)) + "]",
+        body[start:end])
     if not s.strip():
         return None
     lead = len(s) - len(s.lstrip())
@@ -854,16 +881,20 @@ def _extract_dataflow(code, body_start, body_end, fn, lines):
         fn.bounded_lines.append(lines.line_of(body_start + m.start()))
 
     entries = []
+
+    def add_chunk(lo, hi):
+        cut = _control_head_end(body, lo, hi)
+        for a, b in ([(lo, hi)] if cut is None else [(lo, cut), (cut, hi)]):
+            entry = _df_statement(body, a, b, body_start, lines)
+            if entry:
+                entries.append(entry)
+
     start = 0
     for i, c in enumerate(body):
         if c in ";{}":
-            entry = _df_statement(body, start, i, body_start, lines)
-            if entry:
-                entries.append(entry)
+            add_chunk(start, i)
             start = i + 1
-    entry = _df_statement(body, start, len(body), body_start, lines)
-    if entry:
-        entries.append(entry)
+    add_chunk(start, len(body))
 
     for m in _LOOP_HEAD_RE.finditer(body):
         open_pos = body.find("(", m.end() - 1)

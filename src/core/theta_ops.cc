@@ -6,6 +6,10 @@
 #include <optional>
 #include <sstream>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "common/analysis_annotations.h"
 #include "common/check.h"
 #include "common/thread_annotations.h"
@@ -216,13 +220,14 @@ bool ThetaOperator::Theta(const Value& a, const RingApprox* approx_a,
 SJ_HOT void ThetaOperator::ThetaUpperBatch(const Rectangle& probe,
                                            bool probe_is_left,
                                            const MbrPlanes& planes, int64_t n,
-                                           uint8_t* out) const {
+                                           uint64_t* out) const {
+  std::fill_n(out, MaskWords(n), uint64_t{0});
   for (int64_t i = 0; i < n; ++i) {
     SJ_BOUNDED_WORK;  // one batch: a node's children or one block row
     const Rectangle other = planes.At(i);
     const bool hit = probe_is_left ? ThetaUpper(probe, other)
                                    : ThetaUpper(other, probe);
-    out[i] = static_cast<uint8_t>(hit);
+    out[i / 64] |= static_cast<uint64_t>(hit) << (i % 64);
   }
 }
 
@@ -235,27 +240,52 @@ SJ_HOT void OverlapThetaUpperOp::ThetaUpperBatch(const Rectangle& probe,
                                                  bool probe_is_left,
                                                  const MbrPlanes& planes,
                                                  int64_t n,
-                                                 uint8_t* out) const {
+                                                 uint64_t* out) const {
+#if defined(__SSE2__)
   // Closed overlap is symmetric, so the operand order does not matter.
   (void)probe_is_left;
   // An empty probe overlaps nothing; NaN stands in for its coordinates
-  // exactly as it does for an empty element, so the loop stays branch-free.
+  // exactly as it does for an empty element, and every ordered compare
+  // with a NaN is false, in the SSE2 lanes as in the scalar tail.
   const double nan = std::nan("");
   const double min_x = probe.is_empty() ? nan : probe.min_x();
   const double min_y = probe.is_empty() ? nan : probe.min_y();
   const double max_x = probe.is_empty() ? nan : probe.max_x();
   const double max_y = probe.is_empty() ? nan : probe.max_y();
-  // Local plane pointers: a byte store through `out` may alias anything,
-  // so reading the pointers from `planes` would reload them per element.
+  const __m128d probe_min_x = _mm_set1_pd(min_x);
+  const __m128d probe_min_y = _mm_set1_pd(min_y);
+  const __m128d probe_max_x = _mm_set1_pd(max_x);
+  const __m128d probe_max_y = _mm_set1_pd(max_y);
   const double* lo_x = planes.min_x;
   const double* lo_y = planes.min_y;
   const double* hi_x = planes.max_x;
   const double* hi_y = planes.max_y;
-  for (int64_t i = 0; i < n; ++i) {
-    SJ_BOUNDED_WORK;  // one batch: a node's children or one block row
-    out[i] = static_cast<uint8_t>((min_x <= hi_x[i]) & (lo_x[i] <= max_x) &
-                                  (min_y <= hi_y[i]) & (lo_y[i] <= max_y));
+  for (int64_t base = 0; base < n; base += 64) {
+    SJ_BOUNDED_WORK;  // one batch's words: a node's children or a block row
+    const int64_t end = std::min<int64_t>(n, base + 64);
+    uint64_t bits = 0;
+    int64_t i = base;
+    // Two elements per step; a word holds 32 steps, so no pair straddles
+    // two words.
+    for (; i + 2 <= end; i += 2) {
+      SJ_BOUNDED_WORK;  // one word: 32 steps at most
+      const __m128d hit = _mm_and_pd(
+          _mm_and_pd(_mm_cmple_pd(probe_min_x, _mm_loadu_pd(hi_x + i)),
+                     _mm_cmple_pd(_mm_loadu_pd(lo_x + i), probe_max_x)),
+          _mm_and_pd(_mm_cmple_pd(probe_min_y, _mm_loadu_pd(hi_y + i)),
+                     _mm_cmple_pd(_mm_loadu_pd(lo_y + i), probe_max_y)));
+      bits |= static_cast<uint64_t>(_mm_movemask_pd(hit)) << (i - base);
+    }
+    if (i < end) {  // an odd last element: no load may read past it
+      const bool hit = (min_x <= hi_x[i]) & (lo_x[i] <= max_x) &
+                       (min_y <= hi_y[i]) & (lo_y[i] <= max_y);
+      bits |= static_cast<uint64_t>(hit) << (i - base);
+    }
+    out[base / 64] = bits;
   }
+#else
+  ThetaOperator::ThetaUpperBatch(probe, probe_is_left, planes, n, out);
+#endif
 }
 
 // --------------------------------------------------------------------------

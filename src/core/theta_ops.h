@@ -70,6 +70,10 @@ class MbrPlaneBuffer {
   std::vector<double> max_y_;
 };
 
+/// The 64-bit words a ThetaOperator::ThetaUpperBatch mask of `n` bits
+/// takes.
+constexpr int64_t MaskWords(int64_t n) { return (n + 63) / 64; }
+
 /// A θ-operator together with its conservative Θ-counterpart (paper §3.1,
 /// Table 1). The defining property is
 ///
@@ -106,16 +110,18 @@ class ThetaOperator {
   /// rectangles.
   virtual bool ThetaUpper(const Rectangle& a, const Rectangle& b) const = 0;
 
-  /// Θ of `probe` against `n` MBRs held as planes: out[i] becomes 1 or 0
-  /// for ThetaUpper(probe, planes.At(i)) when `probe_is_left`, else for
-  /// ThetaUpper(planes.At(i), probe). The default makes exactly those n
-  /// scalar calls, so every operator — and decorators such as
-  /// CountingTheta — is correct without overriding it; an override must
-  /// give the same answers, empty MBRs included. The FrozenTree join
-  /// kernel (exec/parallel_join.h) tests one row of candidates per call.
+  /// Θ of `probe` against `n` MBRs held as planes, as a bit mask: bit
+  /// i % 64 of out[i / 64] is ThetaUpper(probe, planes.At(i)) when
+  /// `probe_is_left`, else ThetaUpper(planes.At(i), probe). The call
+  /// writes exactly MaskWords(n) words, and every bit at or past `n` in
+  /// them is 0. The default makes exactly those n scalar calls, so every
+  /// operator — and decorators such as CountingTheta — is correct
+  /// without overriding it; an override must give the same answers,
+  /// empty MBRs included. The FrozenTree kernel (exec/parallel_join.h)
+  /// tests one row of candidates per call and visits the set bits.
   virtual void ThetaUpperBatch(const Rectangle& probe, bool probe_is_left,
                                const MbrPlanes& planes, int64_t n,
-                               uint8_t* out) const;
+                               uint64_t* out) const;
 
   /// A probe window for window-based access methods (grid file, native
   /// R-tree search): a rectangle W(b) such that Θ(a, b) implies a
@@ -173,14 +179,15 @@ class WithinDistanceOp : public ThetaOperator {
 
 /// Base of the operators whose Θ is closed rectangle overlap — overlaps,
 /// includes, contained_in and adjacent (Table 1 rows 2–4 and the Fig. 1
-/// operator) — so the four share one scalar Θ and one branch-free batched
-/// Θ.
+/// operator) — so the four share one scalar Θ and one batched Θ, which
+/// tests two MBRs per SSE2 compare (the base default where SSE2 is
+/// missing).
 class OverlapThetaUpperOp : public ThetaOperator {
  public:
   bool ThetaUpper(const Rectangle& a, const Rectangle& b) const override;
   void ThetaUpperBatch(const Rectangle& probe, bool probe_is_left,
                        const MbrPlanes& planes, int64_t n,
-                       uint8_t* out) const override;
+                       uint64_t* out) const override;
 };
 
 /// "o1 overlaps o2" — Θ is rectangle overlap (Table 1, row 2). With a

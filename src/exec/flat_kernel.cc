@@ -2,7 +2,8 @@
 // level driver that runs with or without a thread pool, and Algorithm
 // SELECT on the calling thread, both over FrozenTree's struct-of-arrays
 // layout (DESIGN.md §7). Every Θ goes through
-// ThetaOperator::ThetaUpperBatch over MBR planes. SELECT's θ is the
+// ThetaOperator::ThetaUpperBatch over MBR planes, and only the set bits
+// of its mask are visited, in ascending order. SELECT's θ is the
 // scalar Theta on geometry references; JOIN's also passes both nodes'
 // ring approximations (FrozenTree::ApproxAt), with which `overlaps`
 // settles many polygon pairs before the exact ring test. The matches and
@@ -14,6 +15,7 @@
 // children, so its Θ, θ and node-access counts are the work it did.
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 #include <vector>
 
@@ -34,13 +36,13 @@ namespace {
 constexpr int64_t kChunkWork = 4096;
 
 // Reusable rows for one thread of the kernel, sized once to the widest
-// node: JOIN2's Θ answers for one block row and the block's gathered
-// S-side MBR planes, plus the selection passes' Θ answers and frontiers.
+// node: JOIN2's Θ mask for one block row and the block's gathered S-side
+// MBR planes, plus the selection passes' Θ masks and frontiers.
 struct KernelScratch {
   explicit KernelScratch(int64_t row_size)
       : row(row_size),
-        row_hits(static_cast<size_t>(row_size)),
-        pass_hits(static_cast<size_t>(row_size)),
+        row_hits(static_cast<size_t>(MaskWords(row_size))),
+        pass_hits(static_cast<size_t>(MaskWords(row_size))),
         gathered(static_cast<size_t>(4 * row_size)) {}
 
   // Copies the MBRs of nodes ids[0, n) into the gathered planes.
@@ -61,8 +63,8 @@ struct KernelScratch {
   }
 
   int64_t row;
-  std::vector<uint8_t> row_hits;
-  std::vector<uint8_t> pass_hits;
+  std::vector<uint64_t> row_hits;
+  std::vector<uint64_t> pass_hits;
   std::vector<double> gathered;
   std::vector<NodeRange> frontier;
   std::vector<NodeRange> next_frontier;
@@ -122,7 +124,7 @@ SJ_HOT void ScanBelow(const FrozenTree& sel_tree, NodeId selector,
       selector_app ? sel_tree.ApproxAt(selector) : nullptr;
   const TupleId selector_tuple = sel_tree.TupleAt(selector);
   const MbrPlanes planes = tree.planes();
-  uint8_t* hits = scratch->pass_hits.data();
+  uint64_t* hits = scratch->pass_hits.data();
   std::vector<NodeRange>& frontier = scratch->frontier;
   std::vector<NodeRange>& next = scratch->next_frontier;
   frontier.clear();
@@ -135,31 +137,33 @@ SJ_HOT void ScanBelow(const FrozenTree& sel_tree, NodeId selector,
       op.ThetaUpperBatch(probe, selector_is_r, planes.SubPlanes(range.begin),
                          range.size(), hits);
       out->theta_upper_tests += range.size();
-      for (int64_t i = 0; i < range.size(); ++i) {
-        SJ_BOUNDED_WORK;  // one run of siblings (node fanout)
-        if (hits[i] == 0) continue;
-        const NodeId node = range.begin + i;
-        if (is_direct) qualifying->push_back(node);
-        ++out->nodes_accessed;
-        if (!selector_app) continue;  // no θ, and no descent below `direct`
-        if (tree.IsApplicationAt(node)) {
-          ++out->theta_tests;
-          const Value& geometry = tree.GeometryRef(node);
-          const RingApprox* approx = tree.ApproxAt(node);
-          if (selector_is_r
-                  ? op.Theta(selector_geom, selector_approx, geometry, approx)
-                  : op.Theta(geometry, approx, selector_geom,
-                             selector_approx)) {
-            const TupleId tuple = tree.TupleAt(node);
-            if (selector_is_r) {
-              out->matches.emplace_back(selector_tuple, tuple);
-            } else {
-              out->matches.emplace_back(tuple, selector_tuple);
+      for (int64_t w = 0; w < MaskWords(range.size()); ++w) {
+        SJ_BOUNDED_WORK;  // one run of siblings' words (node fanout / 64)
+        for (uint64_t bits = hits[w]; bits != 0; bits &= bits - 1) {
+          SJ_BOUNDED_WORK;  // one word's set bits
+          const NodeId node = range.begin + w * 64 + std::countr_zero(bits);
+          if (is_direct) qualifying->push_back(node);
+          ++out->nodes_accessed;
+          if (!selector_app) continue;  // no θ, and no descent below `direct`
+          if (tree.IsApplicationAt(node)) {
+            ++out->theta_tests;
+            const Value& geometry = tree.GeometryRef(node);
+            const RingApprox* approx = tree.ApproxAt(node);
+            if (selector_is_r ? op.Theta(selector_geom, selector_approx,
+                                         geometry, approx)
+                              : op.Theta(geometry, approx, selector_geom,
+                                         selector_approx)) {
+              const TupleId tuple = tree.TupleAt(node);
+              if (selector_is_r) {
+                out->matches.emplace_back(selector_tuple, tuple);
+              } else {
+                out->matches.emplace_back(tuple, selector_tuple);
+              }
             }
           }
+          const NodeRange kids = tree.ChildSpan(node);
+          if (kids.size() > 0) next.push_back(kids);
         }
-        const NodeRange kids = tree.ChildSpan(node);
-        if (kids.size() > 0) next.push_back(kids);
       }
     }
     frontier.swap(next);
@@ -209,7 +213,7 @@ struct RowPos {
 
 // JOIN2–JOIN4 for the rows [from, to) of `level`: one batched Θ per block
 // row (an R node against the block's S nodes), then JoinPassedPair for the
-// row's qualifying pairs.
+// row's qualifying pairs, the set bits of its mask.
 SJ_HOT void RunPairRows(const FrozenTree& r_tree, const FrozenTree& s_tree,
                         const ThetaOperator& op, const PairLevel& level,
                         RowPos from, RowPos to, KernelScratch* scratch,
@@ -222,7 +226,7 @@ SJ_HOT void RunPairRows(const FrozenTree& r_tree, const FrozenTree& s_tree,
     const NodeId* b_ids = level.ids.data() + block.begin;
     const NodeId* a_ids = b_ids + block.b_n;
     const MbrPlanes b_planes = scratch->GatherMbrs(s_planes, b_ids, block.b_n);
-    uint8_t* hits = scratch->row_hits.data();
+    uint64_t* hits = scratch->row_hits.data();
     const int64_t last_row = k == to.block ? to.row : block.a_n;
     for (int64_t i = k == from.block ? from.row : 0; i < last_row; ++i) {
       SJ_BOUNDED_WORK;  // one block's R side (node fanout)
@@ -232,15 +236,19 @@ SJ_HOT void RunPairRows(const FrozenTree& r_tree, const FrozenTree& s_tree,
                          block.b_n, hits);
       out->qual_pairs_examined += block.b_n;
       out->theta_upper_tests += block.b_n;
-      for (int64_t j = 0; j < block.b_n; ++j) {
-        SJ_BOUNDED_WORK;  // one block row (node fanout)
-        if (hits[j] == 0) {
-          ++tally->pruned;
-          continue;
+      int64_t descended = 0;
+      for (int64_t w = 0; w < MaskWords(block.b_n); ++w) {
+        SJ_BOUNDED_WORK;  // one block row's words (node fanout / 64)
+        for (uint64_t bits = hits[w]; bits != 0; bits &= bits - 1) {
+          SJ_BOUNDED_WORK;  // one word's set bits
+          ++descended;
+          JoinPassedPair(r_tree, s_tree, op, a,
+                         b_ids[w * 64 + std::countr_zero(bits)], scratch, out,
+                         next);
         }
-        ++tally->descended;
-        JoinPassedPair(r_tree, s_tree, op, a, b_ids[j], scratch, out, next);
       }
+      tally->descended += descended;
+      tally->pruned += block.b_n - descended;
     }
   }
 }
@@ -317,29 +325,32 @@ void MergeJoinChunk(const JoinChunk& chunk, JoinResult* total,
 // ---------------------------------------------------------------------------
 
 // SELECT2 for the sibling run [begin, begin + n): Θ for all of them in one
-// batch, then θ and the match bookkeeping for the qualifying ones, whose
-// child ranges go to *next — SpatialSelect's VisitNode, run-at-a-time.
+// batch, then θ and the match bookkeeping for the qualifying ones (the
+// set bits), whose child ranges go to *next — SpatialSelect's VisitNode,
+// run-at-a-time.
 SJ_HOT void SelectRun(const FrozenTree& tree, const Value& selector,
                       const Rectangle& probe, const ThetaOperator& op,
-                      NodeId begin, int64_t n, uint8_t* hits,
+                      NodeId begin, int64_t n, uint64_t* hits,
                       SelectResult* out, std::vector<NodeRange>* next) {
   op.ThetaUpperBatch(probe, /*probe_is_left=*/true,
                      tree.planes().SubPlanes(begin), n, hits);
   out->theta_upper_tests += n;
-  for (int64_t i = 0; i < n; ++i) {
-    SJ_BOUNDED_WORK;  // one run of siblings (node fanout)
-    if (hits[i] == 0) continue;
-    const NodeId node = begin + i;
-    ++out->nodes_accessed;
-    ++out->theta_tests;
-    if (op.Theta(selector, tree.GeometryRef(node))) {
-      out->matching_nodes.push_back(node);
-      if (tree.IsApplicationAt(node)) {
-        out->matching_tuples.push_back(tree.TupleAt(node));
+  for (int64_t w = 0; w < MaskWords(n); ++w) {
+    SJ_BOUNDED_WORK;  // one run of siblings' words (node fanout / 64)
+    for (uint64_t bits = hits[w]; bits != 0; bits &= bits - 1) {
+      SJ_BOUNDED_WORK;  // one word's set bits
+      const NodeId node = begin + w * 64 + std::countr_zero(bits);
+      ++out->nodes_accessed;
+      ++out->theta_tests;
+      if (op.Theta(selector, tree.GeometryRef(node))) {
+        out->matching_nodes.push_back(node);
+        if (tree.IsApplicationAt(node)) {
+          out->matching_tuples.push_back(tree.TupleAt(node));
+        }
       }
+      const NodeRange kids = tree.ChildSpan(node);
+      if (kids.size() > 0) next->push_back(kids);
     }
-    const NodeRange kids = tree.ChildSpan(node);
-    if (kids.size() > 0) next->push_back(kids);
   }
 }
 
@@ -435,7 +446,7 @@ SelectResult FlatSelect(const Value& selector, const FrozenTree& tree,
   if (cancel != nullptr && cancel->ShouldStop()) return result;
   const Rectangle probe = selector.Mbr();
   const int64_t row = std::max<int64_t>(1, tree.max_fanout());
-  std::vector<uint8_t> hits(static_cast<size_t>(row));
+  std::vector<uint64_t> hits(static_cast<size_t>(MaskWords(row)));
 
   std::vector<NodeRange> frontier{{tree.root(), tree.root() + 1}};
   std::vector<NodeRange> next;

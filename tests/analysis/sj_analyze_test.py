@@ -205,6 +205,26 @@ class WireTaintTest(unittest.TestCase):
         self.assertIn("BuildTable", findings[0]["message"])
         self.assertIn("reserve", findings[0]["message"])
 
+    def test_one_line_body_sees_its_heads_outparam(self):
+        # `while (d.Next(&f)) Handle(f);`: the head's call runs first, so
+        # its out-parameter taint reaches the body's call on that line.
+        code, findings = run_fixture("taint_bad_oneline", "--checks",
+                                     "wire-taint")
+        self.assertEqual(code, 1)
+        self.assertEqual(sorted(f["message"].split(" in ")[1].split(" ")[0]
+                                for f in findings), ["Pump", "PumpOne"])
+        for finding in findings:
+            self.assertIn("via HandleFrame", finding["message"])
+            self.assertIn("reserve", finding["message"])
+
+    def test_lambda_captures_do_not_taint_the_assignment(self):
+        # `int slots = Submit([request_id] {...});` taints nothing: the
+        # capture feeds the lambda's body, not Submit's result.
+        code, findings = run_fixture("taint_good_lambda", "--checks",
+                                     "wire-taint")
+        self.assertEqual(code, 0)
+        self.assertEqual(findings, [])
+
     def test_sanitized_flows_are_clean(self):
         code, findings = run_fixture("taint_good", "--checks", "wire-taint")
         self.assertEqual(code, 0)

@@ -358,16 +358,19 @@ JoinResult PrunedTreeJoin(const GeneralizationTree& r_tree,
 // themselves: the same matches in the same order, the same QualPairs and
 // trace level shapes. Its Θ/θ tests and node accesses are the work it
 // did, which must equal PrunedTreeJoin's on the sources, per level and in
-// total — and a CountingTheta's counts must equal the counters. Returns
-// the pool tasks the widest runs executed, so callers can insist the
-// chunked path ran.
-int64_t ExpectFlatJoinIsExact(const GeneralizationTree& r_src,
-                              const GeneralizationTree& s_src,
-                              const std::string& label) {
+// total — and a CountingTheta's counts must equal the counters. The
+// undecorated operator, whose batched Θ is its own (the overlap family's
+// SSE2 masks) where CountingTheta's is the per-element default, must do
+// the same. Returns the pool tasks the widest runs executed, so callers
+// can insist the chunked path ran.
+int64_t ExpectFlatJoinIsExact(
+    const GeneralizationTree& r_src, const GeneralizationTree& s_src,
+    const std::string& label,
+    const std::vector<NamedOp>& operators = Table1Operators()) {
   const exec::FrozenTree r_frozen = exec::FrozenTree::Materialize(r_src);
   const exec::FrozenTree s_frozen = exec::FrozenTree::Materialize(s_src);
   int64_t tasks = 0;
-  for (const NamedOp& entry : Table1Operators()) {
+  for (const NamedOp& entry : operators) {
     QueryTrace generic_trace("join");
     const JoinResult generic =
         TreeJoin(r_src, s_src, *entry.op, &generic_trace);
@@ -402,6 +405,19 @@ int64_t ExpectFlatJoinIsExact(const GeneralizationTree& r_src,
       if (workers != nullptr && width == 8) {
         tasks += workers->stats().tasks_executed;
       }
+      QueryTrace plain_trace("join");
+      const JoinResult plain = exec::ParallelTreeJoin(
+          r_frozen, s_frozen, *entry.op, workers.get(), nullptr, &plain_trace);
+      EXPECT_EQ(plain.matches, generic.matches) << where << " undecorated";
+      EXPECT_EQ(plain.qual_pairs_examined, generic.qual_pairs_examined)
+          << where << " undecorated";
+      EXPECT_EQ(plain.theta_upper_tests, pruned.theta_upper_tests)
+          << where << " undecorated";
+      EXPECT_EQ(plain.theta_tests, pruned.theta_tests)
+          << where << " undecorated";
+      EXPECT_EQ(plain.nodes_accessed, pruned.nodes_accessed)
+          << where << " undecorated";
+      ExpectSameLevels(plain_trace, pruned_trace, where + " undecorated");
     }
     // TreeJoin itself takes the flat kernel for FrozenTree inputs.
     const JoinResult dispatched = TreeJoin(r_frozen, s_frozen, *entry.op);
@@ -414,9 +430,10 @@ int64_t ExpectFlatJoinIsExact(const GeneralizationTree& r_src,
 
 // The same contract for Algorithm SELECT: every Table 1 operator over
 // `selectors`, the flat kernel against the generic SpatialSelect on the
-// source. Node ids differ between a source and its snapshot, so
-// matching_nodes is compared against the generic traversal of the
-// snapshot (SpatialSelectFrom never dispatches).
+// source, decorated by a CountingTheta and undecorated. Node ids differ
+// between a source and its snapshot, so matching_nodes is compared
+// against the generic traversal of the snapshot (SpatialSelectFrom never
+// dispatches).
 void ExpectFlatSelectIsExact(const GeneralizationTree& src,
                              const std::vector<Value>& selectors,
                              const std::string& label) {
@@ -443,6 +460,20 @@ void ExpectFlatSelectIsExact(const GeneralizationTree& src,
           << where;
       EXPECT_EQ(counting.theta_count(), flat.theta_tests) << where;
       ExpectSameLevels(flat_trace, generic_trace, where);
+      QueryTrace plain_trace("select");
+      const SelectResult plain =
+          exec::FlatSelect(selector, frozen, *entry.op, nullptr, &plain_trace);
+      EXPECT_EQ(plain.matching_tuples, generic.matching_tuples)
+          << where << " undecorated";
+      EXPECT_EQ(plain.matching_nodes, generic_frozen.matching_nodes)
+          << where << " undecorated";
+      EXPECT_EQ(plain.theta_upper_tests, generic.theta_upper_tests)
+          << where << " undecorated";
+      EXPECT_EQ(plain.theta_tests, generic.theta_tests)
+          << where << " undecorated";
+      EXPECT_EQ(plain.nodes_accessed, generic.nodes_accessed)
+          << where << " undecorated";
+      ExpectSameLevels(plain_trace, generic_trace, where + " undecorated");
       // SpatialSelect itself takes the flat kernel for a FrozenTree.
       const SelectResult dispatched =
           SpatialSelect(selector, frozen, *entry.op);
@@ -484,6 +515,37 @@ TEST_F(ParallelExecTest, ParallelTreeJoinIsByteIdenticalToSequential) {
   ExpectFlatJoinIsExact(*one, *one, "one-node x one-node");
 }
 
+TEST_F(ParallelExecTest, WideNodesSpanTwoMaskWords) {
+  // join_rect's node shape: 4 KiB pages give the R-trees a page-derived
+  // fanout of 102, so JOIN2's block rows, the JOIN4 passes' sibling runs
+  // and SELECT's runs cross the 64-bit boundary of the batched Θ's mask
+  // (the other fixtures' R-trees have fanout 4 or 8).
+  DiskManager disk(4096);
+  BufferPool pool(&disk, 1024);
+  const Rectangle world(0, 0, 1200, 1200);
+  RTreeSide r = IndexedSide(&pool, world, 81, 2000, /*polygons=*/false,
+                            /*max_entries=*/0);
+  RTreeSide s = IndexedSide(&pool, world, 82, 2000, /*polygons=*/false,
+                            /*max_entries=*/0);
+  ASSERT_EQ(r.rtree->max_entries(), 102);
+  ASSERT_GT(exec::FrozenTree::Materialize(*r.adapter).max_fanout(), 64);
+  ASSERT_GT(exec::FrozenTree::Materialize(*s.adapter).max_fanout(), 64);
+  // northwest_of matches about a quarter of all pairs (1M here), which
+  // would make the references take seconds; its batched Θ is the
+  // per-element default, which the CountingTheta runs of every other
+  // operator take too.
+  std::vector<NamedOp> operators = Table1Operators();
+  std::erase_if(operators, [](const NamedOp& entry) {
+    return std::string(entry.label) == "northwest_of";
+  });
+  ExpectFlatJoinIsExact(*r.adapter, *s.adapter, "wide rectangles",
+                        operators);
+
+  RectGenerator gen(world, 83);
+  std::vector<Value> selectors{Value(world), Value(Rectangle())};
+  for (int q = 0; q < 4; ++q) selectors.emplace_back(gen.NextRect(50, 400));
+  ExpectFlatSelectIsExact(*s.adapter, selectors, "wide rectangles");
+}
 
 TEST_F(ParallelExecTest, FlatJoinThetaTestsOverlappingApplicationPairsOnce) {
   // Counted by brute force over the inputs, independently of either

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -200,12 +204,43 @@ TEST(CountingThetaTest, CountsBothLevels) {
   EXPECT_EQ(counting.total_count(), 0);
 }
 
-// ThetaUpperBatch must give exactly the scalar ThetaUpper answers: for
-// every Table 1 operator (the overlap family shares a branch-free
-// override, the others keep the per-element default) and for
-// CountingTheta, in both operand orders, over random, touching,
-// zero-width, unbounded and empty rectangles. The planes have no empty
-// flag, so the empty rectangle's encoding is what is under test there.
+// Four planes holding exactly `size` MBRs and nothing after them, so a
+// load past the last element leaves the allocation (which ASan reports).
+struct ExactPlanes {
+  ExactPlanes(const std::vector<Rectangle>& rects, int64_t size) {
+    MbrPlaneBuffer buffer;
+    for (int64_t i = 0; i < size; ++i) {
+      buffer.AppendMbr(rects[static_cast<size_t>(i)]);
+    }
+    const MbrPlanes from = buffer.view();
+    for (auto [plane, source] :
+         {std::pair{&min_x, from.min_x}, std::pair{&min_y, from.min_y},
+          std::pair{&max_x, from.max_x}, std::pair{&max_y, from.max_y}}) {
+      *plane = std::make_unique<double[]>(static_cast<size_t>(size));
+      std::copy_n(source, size, plane->get());
+    }
+  }
+
+  MbrPlanes view() const {
+    return {min_x.get(), min_y.get(), max_x.get(), max_y.get()};
+  }
+
+  std::unique_ptr<double[]> min_x;
+  std::unique_ptr<double[]> min_y;
+  std::unique_ptr<double[]> max_x;
+  std::unique_ptr<double[]> max_y;
+};
+
+// ThetaUpperBatch must give exactly the scalar ThetaUpper answers as a bit
+// mask: for every Table 1 operator (the overlap family shares an SSE2
+// override that tests two MBRs per compare, the others keep the
+// per-element default) and for CountingTheta, in both operand orders,
+// over random, touching, zero-width, unbounded and empty rectangles. The
+// planes have no empty flag, so the empty rectangle's encoding is what is
+// under test there. Runs of 1 to 129 elements and the whole run start at
+// elements 0, 1 and 5 (unaligned loads) and end at the planes' last
+// element; the out words start as all ones, and every bit at or past n
+// must come back 0 and no word past MaskWords(n) may be written.
 TEST(ThetaUpperBatchTest, EqualsScalarThetaUpper) {
   std::vector<std::unique_ptr<ThetaOperator>> ops;
   ops.push_back(std::make_unique<WithinDistanceOp>(15.0));
@@ -236,39 +271,62 @@ TEST(ThetaUpperBatchTest, EqualsScalarThetaUpper) {
   };
   RectGenerator gen(Rectangle(0, 0, 100, 100), 77);
   for (int i = 0; i < 150; ++i) rects.push_back(gen.NextRect(0.5, 30));
-  MbrPlaneBuffer buffer;
-  for (const Rectangle& r : rects) buffer.AppendMbr(r);
-  const int64_t n = static_cast<int64_t>(rects.size());
+  const int64_t total = static_cast<int64_t>(rects.size());
 
-  for (const auto& op : ops) {
-    for (const Rectangle& probe : rects) {
-      for (bool probe_is_left : {true, false}) {
-        // The whole run, and a run that starts mid-planes.
-        for (int64_t first : {int64_t{0}, int64_t{5}}) {
-          std::vector<uint8_t> out(static_cast<size_t>(n - first), 7);
-          op->ThetaUpperBatch(probe, probe_is_left,
-                              buffer.view().SubPlanes(first), n - first,
-                              out.data());
-          for (int64_t i = first; i < n; ++i) {
-            const Rectangle& other = rects[static_cast<size_t>(i)];
-            const bool want = probe_is_left ? op->ThetaUpper(probe, other)
-                                            : op->ThetaUpper(other, probe);
-            ASSERT_EQ(out[static_cast<size_t>(i - first)],
-                      want ? uint8_t{1} : uint8_t{0})
-                << op->name() << (probe_is_left ? " left " : " right ")
-                << probe.ToString() << " vs " << other.ToString();
+  for (int64_t first : {int64_t{0}, int64_t{1}, int64_t{5}}) {
+    for (int64_t n : {int64_t{1}, int64_t{2}, int64_t{3}, int64_t{63},
+                      int64_t{64}, int64_t{65}, int64_t{127}, int64_t{128},
+                      int64_t{129}, total - first}) {
+      const ExactPlanes planes(rects, first + n);
+      const int64_t words = MaskWords(n);
+      for (const auto& op : ops) {
+        for (const Rectangle& probe : rects) {
+          for (bool probe_is_left : {true, false}) {
+            // One guard word past the mask must stay untouched.
+            std::vector<uint64_t> out(static_cast<size_t>(words + 1),
+                                      ~uint64_t{0});
+            op->ThetaUpperBatch(probe, probe_is_left,
+                                planes.view().SubPlanes(first), n,
+                                out.data());
+            const std::string where =
+                op->name() + (probe_is_left ? " left " : " right ") +
+                probe.ToString() + " first " + std::to_string(first) +
+                " n " + std::to_string(n);
+            for (int64_t i = 0; i < words * 64; ++i) {
+              const bool got = ((out[static_cast<size_t>(i / 64)] >>
+                                 (i % 64)) & 1) != 0;
+              if (i >= n) {
+                ASSERT_FALSE(got) << where << ": bit " << i << " past n";
+                continue;
+              }
+              const Rectangle& other = rects[static_cast<size_t>(first + i)];
+              const bool want = probe_is_left ? op->ThetaUpper(probe, other)
+                                              : op->ThetaUpper(other, probe);
+              ASSERT_EQ(got, want) << where << ": bit " << i << " vs "
+                                   << other.ToString();
+            }
+            ASSERT_EQ(out[static_cast<size_t>(words)], ~uint64_t{0})
+                << where << ": wrote past MaskWords(n)";
           }
         }
+        // An empty probe passes nothing.
+        for (bool probe_is_left : {true, false}) {
+          std::vector<uint64_t> out(static_cast<size_t>(words), ~uint64_t{0});
+          op->ThetaUpperBatch(Rectangle::Empty(), probe_is_left,
+                              planes.view().SubPlanes(first), n, out.data());
+          for (uint64_t word : out) ASSERT_EQ(word, 0u) << op->name();
+        }
       }
+
+      // The decorator counts a batch once per element.
+      CountingTheta counting(&counted_overlaps);
+      std::vector<uint64_t> out(static_cast<size_t>(words));
+      counting.ThetaUpperBatch(rects[0], true,
+                               planes.view().SubPlanes(first), n, out.data());
+      EXPECT_EQ(counting.theta_upper_count(), n);
+      EXPECT_EQ(counting.theta_count(), 0);
     }
   }
-
-  // The decorator counts a batch once per element.
-  CountingTheta counting(&counted_overlaps);
-  std::vector<uint8_t> out(static_cast<size_t>(n));
-  counting.ThetaUpperBatch(rects[0], true, buffer.view(), n, out.data());
-  EXPECT_EQ(counting.theta_upper_count(), n);
-  EXPECT_EQ(counting.theta_count(), 0);
 }
 
 // The defining Table-1 property: θ(a, b) on the objects implies Θ on any

@@ -85,9 +85,8 @@ int main() {
   for (int q = 0; q < queries; ++q) {
     TupleId selector_tid = static_cast<TupleId>(selector_rng.NextUint64(
         static_cast<uint64_t>(clustered.relation->num_tuples())));
-    Value selector =
-        clustered.relation->Read(selector_tid).value(
-            clustered.spatial_column);
+    Value selector = clustered.relation->ReadValue(
+        selector_tid, clustered.spatial_column);
 
     SJ_CHECK_OK(pool_cl.Clear());
     disk_cl.ResetStats();

@@ -67,7 +67,7 @@ int main() {
   });
   std::cout << "answer (" << answer.size() << " cities):\n";
   for (TupleId tid : answer) {
-    std::cout << "  " << cities.Read(tid).value(1).AsString() << "\n";
+    std::cout << "  " << cities.ReadValue(tid, 1).AsString() << "\n";
   }
 
   // Algorithm SELECT with the Fig.-5 Θ: probe the R-tree with the lake
@@ -102,7 +102,7 @@ int main() {
   std::vector<TupleId> window_hits = rtree.SearchTids(*window);
   int verified = 0;
   for (TupleId tid : window_hits) {
-    if (northwest.Theta(cities.Read(tid).value(2), lake_tahoe)) ++verified;
+    if (northwest.Theta(cities.ReadValue(tid, 2), lake_tahoe)) ++verified;
   }
   std::printf("window probe: %zu candidates, %d verified matches\n",
               window_hits.size(), verified);

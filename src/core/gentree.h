@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/analysis_annotations.h"
 #include "geometry/rectangle.h"
 #include "relational/tuple.h"
 #include "relational/value.h"
@@ -37,7 +38,12 @@ inline constexpr NodeId kInvalidNodeId = -1;
 /// object (paper assumption: "tree nodes contain the complete tuples");
 /// disk-backed implementations charge page I/O there and in `Children`.
 /// Metadata (`HeightOf`, `root`, …) is free, mirroring the model's
-/// root-locked-in-memory assumption.
+/// root-locked-in-memory assumption. The algorithms, the audits and the
+/// cost-model benches read through these per-node accessors only, so
+/// their page counts are the model's. `ReadChildren` is the one bulk
+/// read, and only `FrozenTree::Materialize` calls it: a paged tree
+/// answers it with one read of the child node's page, plus one tuple
+/// read per stored child geometry.
 class GeneralizationTree {
  public:
   virtual ~GeneralizationTree() = default;
@@ -75,6 +81,37 @@ class GeneralizationTree {
 
   /// Total number of nodes (application + technical).
   virtual int64_t num_nodes() const = 0;
+
+  /// What ReadChildren reports for one child: everything the six
+  /// accessors above give for it.
+  struct ChildRecord {
+    NodeId id = kInvalidNodeId;
+    Rectangle mbr;
+    int height = 0;
+    TupleId tuple = kInvalidTupleId;
+    bool application = false;
+    /// False only when the child certainly has no children, so a walk
+    /// need not ask for them.
+    bool expandable = true;
+    Value geometry;
+  };
+
+  /// Replaces `*out` with one record per child of `node`, in Children
+  /// order. The default asks the accessors, child by child; a disk-backed
+  /// tree overrides it to read a node page once for all its children.
+  virtual void ReadChildren(NodeId node, std::vector<ChildRecord>* out) const {
+    out->clear();
+    for (NodeId child : Children(node)) {
+      SJ_BOUNDED_WORK;  // one node's children (node fanout)
+      ChildRecord& record = out->emplace_back();
+      record.id = child;
+      record.geometry = Geometry(child);
+      record.mbr = MbrOf(child);
+      record.tuple = TupleOf(child);
+      record.height = HeightOf(child);
+      record.application = IsApplicationNode(child);
+    }
+  }
 };
 
 }  // namespace spatialjoin

@@ -104,8 +104,7 @@ Value MemoryGenTree::Geometry(NodeId node) const {
   if (relation_ != nullptr && n.tuple != kInvalidTupleId) {
     // Disk-backed node: fetch the stored tuple (this is where strategy
     // IIa/IIb I/O happens).
-    Tuple t = relation_->Read(n.tuple);
-    return t.value(relation_column_);
+    return relation_->ReadValue(n.tuple, relation_column_);
   }
   return n.geometry;
 }

@@ -35,7 +35,7 @@ JoinResult NestedLoopJoin(const Relation& r, size_t col_r, const Relation& s,
     block.reserve(static_cast<size_t>(block_end - block_start));
     for (TupleId tid = block_start; tid < block_end; ++tid) {
       SJ_BOUNDED_WORK;  // one R block (M-10 pages); the block loop polls
-      block.emplace_back(tid, r.Read(tid).value(col_r));
+      block.emplace_back(tid, r.ReadValue(tid, col_r));
       ++result.nodes_accessed;
     }
     // Scan S once for this block.

@@ -34,7 +34,7 @@ JoinStatistics EstimateJoinStatistics(const Relation& r, size_t col_r,
     TupleId s_tid = static_cast<TupleId>(
         rng.NextUint64(static_cast<uint64_t>(stats.s_tuples)));
     ++stats.sample_tests;
-    if (op.Theta(r.Read(r_tid).value(col_r), s.Read(s_tid).value(col_s))) {
+    if (op.Theta(r.ReadValue(r_tid, col_r), s.ReadValue(s_tid, col_s))) {
       ++hits;
     }
   }

@@ -91,8 +91,8 @@ JoinResult SortMergeZOrderJoin(const Relation& r, size_t col_r,
   // Phase 4: verify candidates with the exact θ test.
   for (const auto& [r_tid, s_tid] : candidates) {
     if (cancel != nullptr && cancel->ShouldStop()) break;
-    Value r_value = r.Read(r_tid).value(col_r);
-    Value s_value = s.Read(s_tid).value(col_s);
+    Value r_value = r.ReadValue(r_tid, col_r);
+    Value s_value = s.ReadValue(s_tid, col_s);
     result.nodes_accessed += 2;
     ++result.theta_tests;
     if (op.Theta(r_value, s_value)) {

@@ -17,7 +17,7 @@ JoinResult RTreeWindowJoin(const RTree& r_index, const Relation& r,
                  op.name() << " has no finite probe window; use the "
                               "generalization-tree strategies");
     r_index.Search(*window, [&](const Rectangle&, TupleId r_tid) {
-      Value r_value = r.Read(r_tid).value(col_r);
+      Value r_value = r.ReadValue(r_tid, col_r);
       ++result.nodes_accessed;
       ++result.theta_tests;
       if (op.Theta(r_value, s_value)) {
@@ -42,7 +42,7 @@ JoinResult GridFileWindowJoin(const GridFile& r_index, const Relation& r,
                  op.name() << " has no finite probe window; use the "
                               "generalization-tree strategies");
     for (TupleId r_tid : r_index.SearchTids(*window)) {
-      Value r_value = r.Read(r_tid).value(col_r);
+      Value r_value = r.ReadValue(r_tid, col_r);
       ++result.nodes_accessed;
       ++result.theta_tests;
       if (op.Theta(r_value, s_value)) {

@@ -1,8 +1,8 @@
 #include "exec/frozen_tree.h"
 
 #include <algorithm>
-#include <deque>
 #include <numeric>
+#include <utility>
 
 #include "common/analysis_annotations.h"
 #include "geometry/polygon.h"
@@ -27,49 +27,61 @@ FrozenTree FrozenTree::Materialize(const GeneralizationTree& source) {
   frozen.heights_.reserve(expected);
   frozen.application_.reserve(expected);
   frozen.child_offsets_.reserve(expected + 1);
-  // BFS over the source, assigning dense ids in visit order. The children
-  // of the node visited i-th are visited consecutively, so their dense ids
-  // start at a running cursor: one offset per node describes them all.
-  NodeId next_dense = 1;
-  std::deque<NodeId> worklist;
-  worklist.push_back(source.root());
-  while (!worklist.empty()) {
+  const NodeId root = source.root();
+  frozen.Append(source.Geometry(root), source.MbrOf(root),
+                source.TupleOf(root), source.HeightOf(root),
+                source.IsApplicationNode(root), expected);
+  // BFS by dense id: node i's children are appended when i is expanded,
+  // so they take the next dense ids and one offset per node describes
+  // them all. Only nodes that can have children are remembered, with
+  // their source ids, in dense-id order; an R-tree's leaf entries never
+  // are. Geometries are decoded in this order too, so the polygon rings
+  // are allocated in the order the join visits them.
+  std::vector<std::pair<NodeId, NodeId>> parents = {{0, root}};
+  size_t next_parent = 0;
+  std::vector<ChildRecord> children;
+  for (NodeId node = 0; node < frozen.num_nodes(); ++node) {
     SJ_BOUNDED_WORK;  // one BFS pass per dataset load; not a query path
-    NodeId src = worklist.front();
-    worklist.pop_front();
-    frozen.geometries_.push_back(source.Geometry(src));
-    frozen.mbrs_.AppendMbr(source.MbrOf(src));
-    frozen.tuples_.push_back(source.TupleOf(src));
-    frozen.heights_.push_back(source.HeightOf(src));
-    const bool application = source.IsApplicationNode(src);
-    frozen.application_.push_back(application ? 1 : 0);
-    // The ring approximations, built while the ring just copied is in
-    // cache. Storage appears with the first polygon application object,
-    // unbuilt records standing in for the nodes before it.
-    const Polygon* polygon =
-        application ? frozen.geometries_.back().TryPolygon() : nullptr;
-    if (polygon != nullptr && frozen.approx_.empty()) {
-      frozen.approx_.reserve(expected);
-      frozen.approx_.resize(frozen.geometries_.size() - 1);
+    frozen.child_offsets_.push_back(frozen.num_nodes());
+    if (next_parent == parents.size() || parents[next_parent].first != node) {
+      continue;
     }
-    if (!frozen.approx_.empty()) {
-      frozen.approx_.push_back(polygon != nullptr
-                                   ? BuildRingApprox(polygon->ring_view())
-                                   : RingApprox{});
-    }
-    std::vector<NodeId> kids = source.Children(src);
-    frozen.child_offsets_.push_back(next_dense);
-    next_dense += static_cast<NodeId>(kids.size());
-    frozen.max_fanout_ =
-        std::max(frozen.max_fanout_, static_cast<int64_t>(kids.size()));
-    for (NodeId child : kids) {
+    source.ReadChildren(parents[next_parent++].second, &children);
+    frozen.max_fanout_ = std::max(frozen.max_fanout_,
+                                  static_cast<int64_t>(children.size()));
+    for (ChildRecord& child : children) {
       SJ_BOUNDED_WORK;  // one node's children (node fanout)
-      worklist.push_back(child);
+      if (child.expandable) parents.emplace_back(frozen.num_nodes(), child.id);
+      frozen.Append(std::move(child.geometry), child.mbr, child.tuple,
+                    child.height, child.application, expected);
     }
   }
-  frozen.child_offsets_.push_back(next_dense);
-  SJ_CHECK_EQ(next_dense, frozen.num_nodes());
+  frozen.child_offsets_.push_back(frozen.num_nodes());
   return frozen;
+}
+
+void FrozenTree::Append(Value&& geometry, const Rectangle& mbr,
+                        TupleId tuple, int height, bool application,
+                        size_t expected) {
+  geometries_.push_back(std::move(geometry));
+  mbrs_.AppendMbr(mbr);
+  tuples_.push_back(tuple);
+  heights_.push_back(height);
+  application_.push_back(application ? 1 : 0);
+  // The ring approximations, built while the ring just decoded is in
+  // cache. Storage appears with the first polygon application object,
+  // unbuilt records standing in for the nodes before it.
+  const Polygon* polygon =
+      application ? geometries_.back().TryPolygon() : nullptr;
+  if (polygon != nullptr && approx_.empty()) {
+    approx_.reserve(expected);
+    approx_.resize(geometries_.size() - 1);
+  }
+  if (!approx_.empty()) {
+    approx_.push_back(polygon != nullptr
+                          ? BuildRingApprox(polygon->ring_view())
+                          : RingApprox{});
+  }
 }
 
 void FrozenTree::CheckNode(NodeId node) const {

@@ -26,7 +26,8 @@ struct NodeRange {
 /// hands out unpinned pointers), so the disk-backed tree adapters are not
 /// safe for concurrent reads. `Materialize` walks the source tree once on
 /// the calling thread — paying all page I/O up front, which matches the
-/// load phase that in-memory join systems assume — and after that every
+/// load phase that in-memory join systems assume, a node's children at a
+/// time through GeneralizationTree::ReadChildren — and after that every
 /// accessor is a pure read of immutable data, safe from any number of
 /// threads.
 ///
@@ -112,6 +113,10 @@ class FrozenTree : public GeneralizationTree {
   FrozenTree() = default;
 
   void CheckNode(NodeId node) const;
+  // Adds the node with the next dense id (and its ring record); `expected`
+  // sizes the record storage when the first one appears.
+  void Append(Value&& geometry, const Rectangle& mbr, TupleId tuple,
+              int height, bool application, size_t expected);
 
   MbrPlaneBuffer mbrs_;
   std::vector<Value> geometries_;

@@ -28,10 +28,6 @@ Rectangle Rectangle::FromPoint(const Point& p) {
 
 Rectangle Rectangle::Empty() { return Rectangle(); }
 
-Point Rectangle::Center() const {
-  return Point((min_.x + max_.x) / 2.0, (min_.y + max_.y) / 2.0);
-}
-
 bool Rectangle::Overlaps(const Rectangle& o) const {
   if (empty_ || o.empty_) return false;
   return min_.x <= o.max_.x && o.min_.x <= max_.x && min_.y <= o.max_.y &&
@@ -75,7 +71,20 @@ void Rectangle::Extend(const Rectangle& o) {
 }
 
 void Rectangle::ExtendPoint(const Point& p) {
-  Extend(Rectangle::FromPoint(p));
+  // In place, not through FromPoint: polygon and polyline constructors
+  // call this once per vertex. NaN is rejected as FromPoint rejects it.
+  SJ_CHECK_MSG(!std::isnan(p.x) && !std::isnan(p.y),
+               "invalid point (" << p.x << "," << p.y << ")");
+  if (empty_) {
+    min_ = p;
+    max_ = p;
+    empty_ = false;
+    return;
+  }
+  min_.x = std::min(min_.x, p.x);
+  min_.y = std::min(min_.y, p.y);
+  max_.x = std::max(max_.x, p.x);
+  max_.y = std::max(max_.y, p.y);
 }
 
 Rectangle Rectangle::Expanded(double d) const {

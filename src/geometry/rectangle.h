@@ -42,8 +42,11 @@ class Rectangle {
   double Area() const { return width() * height(); }
   /// Half-perimeter (the R*-style "margin"), used by split heuristics.
   double Margin() const { return width() + height(); }
-  /// Geometric center; the paper's "centerpoint" for rectangles.
-  Point Center() const;
+  /// Geometric center; the paper's "centerpoint" for rectangles. Inline:
+  /// STR bulk loading sorts by it.
+  Point Center() const {
+    return Point((min_.x + max_.x) / 2.0, (min_.y + max_.y) / 2.0);
+  }
 
   /// True iff this rectangle and `o` share at least one point (closed
   /// rectangles: touching edges count as overlap, as in Guttman's R-tree).

@@ -156,7 +156,7 @@ std::vector<NodeId> QuadTree::Children(NodeId node) const {
 Value QuadTree::Geometry(NodeId node) const {
   const Node& n = NodeAt(node);
   if (n.is_object && relation_ != nullptr && n.tid != kInvalidTupleId) {
-    return relation_->Read(n.tid).value(column_);
+    return relation_->ReadValue(n.tid, column_);
   }
   return Value(n.rect);
 }

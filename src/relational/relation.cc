@@ -1,5 +1,8 @@
 #include "relational/relation.h"
 
+#include <optional>
+#include <string_view>
+
 #include "common/check.h"
 
 namespace spatialjoin {
@@ -35,22 +38,27 @@ TupleId Relation::Insert(const Tuple& tuple) {
   return num_tuples_++;
 }
 
-Tuple Relation::Read(TupleId tid) const {
+std::string_view Relation::RecordOf(TupleId tid) const {
   SJ_CHECK_GE(tid, 0);
   SJ_CHECK_LT(tid, num_tuples_);
-  std::string bytes;
-  if (layout_ == RelationLayout::kHeap) {
-    bool ok = heap_->Read(rids_[static_cast<size_t>(tid)], &bytes);
-    SJ_CHECK_MSG(ok, "tuple " << tid << " was deleted");
-  } else {
-    clustered_->Read(tid, &bytes);
-  }
-  return Tuple::Deserialize(bytes, schema_.num_columns());
+  if (layout_ == RelationLayout::kClustered) return clustered_->View(tid);
+  const std::optional<std::string_view> bytes =
+      heap_->View(rids_[static_cast<size_t>(tid)]);
+  SJ_CHECK_MSG(bytes.has_value(), "tuple " << tid << " was deleted");
+  return *bytes;
+}
+
+Tuple Relation::Read(TupleId tid) const {
+  return Tuple::Deserialize(RecordOf(tid), schema_.num_columns());
+}
+
+Value Relation::ReadValue(TupleId tid, size_t column) const {
+  SJ_CHECK_LT(column, schema_.num_columns());
+  return Tuple::DeserializeColumn(RecordOf(tid), column);
 }
 
 Rectangle Relation::MbrOf(TupleId tid, size_t column) const {
-  Tuple t = Read(tid);
-  return t.value(column).Mbr();
+  return ReadValue(tid, column).Mbr();
 }
 
 void Relation::Scan(
@@ -60,15 +68,11 @@ void Relation::Scan(
     // tids can be recovered by counting.
     TupleId tid = 0;
     heap_->Scan([&](const RecordId&, std::string_view bytes) {
-      Tuple t = Tuple::Deserialize(std::string(bytes),
-                                   schema_.num_columns());
-      fn(tid++, t);
+      fn(tid++, Tuple::Deserialize(bytes, schema_.num_columns()));
     });
   } else {
     clustered_->Scan([&](int64_t ordinal, std::string_view bytes) {
-      Tuple t = Tuple::Deserialize(std::string(bytes),
-                                   schema_.num_columns());
-      fn(ordinal, t);
+      fn(ordinal, Tuple::Deserialize(bytes, schema_.num_columns()));
     });
   }
 }

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "relational/schema.h"
@@ -51,6 +52,10 @@ class Relation {
   /// Insert on this relation).
   Tuple Read(TupleId tid) const;
 
+  /// Column `column` of tuple `tid`: the same page access as Read, but
+  /// only that column is decoded.
+  Value ReadValue(TupleId tid, size_t column) const;
+
   /// MBR of the spatial value in `column` of tuple `tid`.
   Rectangle MbrOf(TupleId tid, size_t column) const;
 
@@ -64,6 +69,10 @@ class Relation {
   PageId PageOf(TupleId tid) const;
 
  private:
+  // Tuple `tid`'s stored bytes in their pool frame (one page access);
+  // valid until the pool's next access.
+  std::string_view RecordOf(TupleId tid) const;
+
   std::string name_;
   Schema schema_;
   BufferPool* pool_;

@@ -31,7 +31,7 @@ std::string Tuple::Serialize(size_t pad_to) const {
   return out;
 }
 
-Tuple Tuple::Deserialize(const std::string& bytes, size_t num_columns) {
+Tuple Tuple::Deserialize(std::string_view bytes, size_t num_columns) {
   std::vector<Value> values;
   values.reserve(num_columns);
   size_t pos = 0;
@@ -40,6 +40,15 @@ Tuple Tuple::Deserialize(const std::string& bytes, size_t num_columns) {
     values.push_back(Value::Deserialize(bytes, &pos));
   }
   return Tuple(std::move(values));
+}
+
+Value Tuple::DeserializeColumn(std::string_view bytes, size_t column) {
+  size_t pos = 0;
+  for (size_t i = 0; i < column; ++i) {
+    SJ_BOUNDED_WORK;  // the columns before `column` (schema-bounded)
+    Value::Skip(bytes, &pos);
+  }
+  return Value::Deserialize(bytes, &pos);
 }
 
 Tuple Tuple::Concat(const Tuple& a, const Tuple& b) {

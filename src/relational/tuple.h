@@ -2,6 +2,7 @@
 #define SPATIALJOIN_RELATIONAL_TUPLE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "relational/schema.h"
@@ -35,7 +36,11 @@ class Tuple {
   std::string Serialize(size_t pad_to = 0) const;
 
   /// Inverse of Serialize; `num_columns` values are read, padding ignored.
-  static Tuple Deserialize(const std::string& bytes, size_t num_columns);
+  static Tuple Deserialize(std::string_view bytes, size_t num_columns);
+
+  /// Column `column` of the Serialize encoding `bytes`, decoded alone: the
+  /// columns before it are skipped, the ones after it not read.
+  static Value DeserializeColumn(std::string_view bytes, size_t column);
 
   /// Concatenation of two tuples — the result of a join match (JOIN3:
   /// "join the corresponding tuples and add the resulting tuple").

@@ -2,8 +2,9 @@
 
 #include <cstring>
 #include <sstream>
+#include <type_traits>
+#include <vector>
 
-#include "common/analysis_annotations.h"
 #include "common/check.h"
 
 namespace spatialjoin {
@@ -20,7 +21,7 @@ void AppendPod(std::string* out, const T& v) {
 }
 
 template <typename T>
-T ReadPod(const std::string& in, size_t* pos) {
+T ReadPod(std::string_view in, size_t* pos) {
   SJ_CHECK_LE(*pos + sizeof(T), in.size());
   T v;
   std::memcpy(&v, in.data() + *pos, sizeof(T));
@@ -28,15 +29,31 @@ T ReadPod(const std::string& in, size_t* pos) {
   return v;
 }
 
+// A point is encoded as its two coordinates.
+constexpr size_t kPointBytes = 2 * sizeof(double);
+
 void AppendPoint(std::string* out, const Point& p) {
   AppendPod(out, p.x);
   AppendPod(out, p.y);
 }
 
-Point ReadPoint(const std::string& in, size_t* pos) {
+Point ReadPoint(std::string_view in, size_t* pos) {
   double x = ReadPod<double>(in, pos);
   double y = ReadPod<double>(in, pos);
   return Point(x, y);
+}
+
+// A vertex list (count, then the points): one bounds check and one copy,
+// as the encoding is the points' own layout.
+static_assert(sizeof(Point) == kPointBytes &&
+              std::is_trivially_copyable_v<Point>);
+std::vector<Point> ReadPoints(std::string_view in, size_t* pos) {
+  const size_t bytes = ReadPod<uint32_t>(in, pos) * kPointBytes;
+  SJ_CHECK_LE(*pos + bytes, in.size());
+  std::vector<Point> points(bytes / kPointBytes);
+  if (bytes != 0) std::memcpy(points.data(), in.data() + *pos, bytes);
+  *pos += bytes;
+  return points;
 }
 
 }  // namespace
@@ -157,7 +174,7 @@ void Value::SerializeTo(std::string* out) const {
   }
 }
 
-Value Value::Deserialize(const std::string& in, size_t* pos) {
+Value Value::Deserialize(std::string_view in, size_t* pos) {
   uint8_t tag = ReadPod<uint8_t>(in, pos);
   switch (static_cast<ValueType>(tag)) {
     case ValueType::kNull:
@@ -180,29 +197,45 @@ Value Value::Deserialize(const std::string& in, size_t* pos) {
       Point hi = ReadPoint(in, pos);
       return Value(Rectangle(lo, hi));
     }
-    case ValueType::kPolygon: {
-      uint32_t size = ReadPod<uint32_t>(in, pos);
-      std::vector<Point> ring;
-      ring.reserve(size);
-      for (uint32_t i = 0; i < size; ++i) {
-        SJ_BOUNDED_WORK;  // one stored geometry's vertices
-        ring.push_back(ReadPoint(in, pos));
-      }
-      return Value(Polygon(std::move(ring)));
-    }
-    case ValueType::kPolyline: {
-      uint32_t size = ReadPod<uint32_t>(in, pos);
-      std::vector<Point> vertices;
-      vertices.reserve(size);
-      for (uint32_t i = 0; i < size; ++i) {
-        SJ_BOUNDED_WORK;  // one stored geometry's vertices
-        vertices.push_back(ReadPoint(in, pos));
-      }
-      return Value(Polyline(std::move(vertices)));
-    }
+    case ValueType::kPolygon:
+      return Value(Polygon(ReadPoints(in, pos)));
+    case ValueType::kPolyline:
+      return Value(Polyline(ReadPoints(in, pos)));
   }
   SJ_CHECK_MSG(false, "corrupt value tag " << static_cast<int>(tag));
   return Value();
+}
+
+void Value::Skip(std::string_view in, size_t* pos) {
+  const uint8_t tag = ReadPod<uint8_t>(in, pos);
+  size_t size = 0;
+  switch (static_cast<ValueType>(tag)) {
+    case ValueType::kNull:
+      break;
+    case ValueType::kInt64:
+      size = sizeof(int64_t);
+      break;
+    case ValueType::kDouble:
+      size = sizeof(double);
+      break;
+    case ValueType::kString:
+      size = ReadPod<uint32_t>(in, pos);
+      break;
+    case ValueType::kPoint:
+      size = kPointBytes;
+      break;
+    case ValueType::kRectangle:
+      size = 2 * kPointBytes;
+      break;
+    case ValueType::kPolygon:
+    case ValueType::kPolyline:
+      size = ReadPod<uint32_t>(in, pos) * kPointBytes;
+      break;
+    default:
+      SJ_CHECK_MSG(false, "corrupt value tag " << static_cast<int>(tag));
+  }
+  SJ_CHECK_LE(*pos + size, in.size());
+  *pos += size;
 }
 
 bool operator==(const Value& a, const Value& b) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "geometry/point.h"
@@ -72,7 +73,11 @@ class Value {
   void SerializeTo(std::string* out) const;
 
   /// Parses one value from `in` starting at `*pos`; advances `*pos`.
-  static Value Deserialize(const std::string& in, size_t* pos);
+  static Value Deserialize(std::string_view in, size_t* pos);
+
+  /// Advances `*pos` past the value encoded at `in[*pos]` without
+  /// decoding it (checked like Deserialize).
+  static void Skip(std::string_view in, size_t* pos);
 
   /// Structural equality (exact, including geometry coordinates).
   friend bool operator==(const Value& a, const Value& b);

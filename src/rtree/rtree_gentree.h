@@ -20,7 +20,9 @@ namespace spatialjoin {
 /// MBR or children reads the R-tree pages through the buffer pool, so
 /// index I/O is counted exactly where a real execution pays it. θ-level
 /// geometry of a leaf entry is fetched from the backing relation (one
-/// more access — the tuple fetch).
+/// more access — the tuple fetch). ReadChildren reads a child page once
+/// for all its entries, and decodes only the spatial column of each leaf
+/// entry's tuple.
 class RTreeGenTree : public GeneralizationTree {
  public:
   /// `relation`/`column` back the leaf entries' exact geometry; pass
@@ -37,6 +39,8 @@ class RTreeGenTree : public GeneralizationTree {
   bool IsApplicationNode(NodeId node) const override;
   TupleId TupleOf(NodeId node) const override;
   int64_t num_nodes() const override;
+  void ReadChildren(NodeId node,
+                    std::vector<ChildRecord>* out) const override;
 
  private:
   static constexpr NodeId kRootId = 0;
@@ -51,6 +55,16 @@ class RTreeGenTree : public GeneralizationTree {
     return page * kMaxSlots + slot + 1;
   }
   static Entry Decode(NodeId id);
+
+  // Depth of the entries of a node at R-tree level `level`.
+  int EntryHeight(int level) const;
+  // The R-tree page holding `node`'s children, or kInvalidPageId when
+  // `node` is a data entry (one entry read for a non-root node).
+  PageId ChildPage(NodeId node) const;
+  // θ-level geometry of an entry (`mbr`, `payload`) on a page whose leaf
+  // flag is `on_leaf`.
+  Value EntryGeometry(bool on_leaf, const Rectangle& mbr,
+                      int64_t payload) const;
 
   const RTree* rtree_;
   const Relation* relation_;

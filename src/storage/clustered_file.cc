@@ -42,14 +42,14 @@ int64_t ClusteredFile::Append(std::string_view record) {
   return num_records() - 1;
 }
 
-void ClusteredFile::Read(int64_t ordinal, std::string* out) {
+std::string_view ClusteredFile::View(int64_t ordinal) {
   SJ_CHECK_GE(ordinal, 0);
   SJ_CHECK_LT(ordinal, num_records());
   const RecordId& rid = rids_[static_cast<size_t>(ordinal)];
   const Page* page = pool_->GetPage(rid.page_id);
   auto bytes = slotted::Read(*page, rid.slot);
   SJ_CHECK(bytes.has_value());
-  out->assign(bytes->data(), bytes->size());
+  return *bytes;
 }
 
 RecordId ClusteredFile::RidOf(int64_t ordinal) const {

@@ -33,8 +33,9 @@ class ClusteredFile {
   /// Appends the next record in clustering order; returns its ordinal.
   int64_t Append(std::string_view record);
 
-  /// Copies record `ordinal` (0-based load order) into `out`.
-  void Read(int64_t ordinal, std::string* out);
+  /// Record `ordinal` (0-based load order) in its pool frame; valid until
+  /// the pool's next access.
+  std::string_view View(int64_t ordinal);
 
   /// Record id (page + slot) of an ordinal, for I/O locality analysis.
   RecordId RidOf(int64_t ordinal) const;

@@ -61,16 +61,12 @@ RecordId HeapFile::Insert(std::string_view record) {
   return RecordId{fresh, *slot};
 }
 
-bool HeapFile::Read(const RecordId& rid, std::string* out) {
+std::optional<std::string_view> HeapFile::View(const RecordId& rid) {
   // Debug-only: runs once per record on scan-heavy paths, and an invalid
   // page id is still caught (fatally) by the pool's disk read.
   SJ_DCHECK(rid.is_valid());
   ReadsCounter()->Increment();
-  const Page* page = pool_->GetPage(rid.page_id);
-  auto bytes = slotted::Read(*page, rid.slot);
-  if (!bytes.has_value()) return false;
-  out->assign(bytes->data(), bytes->size());
-  return true;
+  return slotted::Read(*pool_->GetPage(rid.page_id), rid.slot);
 }
 
 bool HeapFile::Delete(const RecordId& rid) {

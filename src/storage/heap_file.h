@@ -2,6 +2,7 @@
 #define SPATIALJOIN_STORAGE_HEAP_FILE_H_
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,8 +40,10 @@ class HeapFile {
   /// checked error.
   RecordId Insert(std::string_view record) SJ_EXCLUDES(mu_);
 
-  /// Copies the record into `out`; false if the record was deleted.
-  bool Read(const RecordId& rid, std::string* out);
+  /// The record's bytes in its pool frame, or nullopt if it was deleted;
+  /// valid until the pool's next access. Counts one
+  /// `storage.heap_file.reads`.
+  std::optional<std::string_view> View(const RecordId& rid);
 
   /// Deletes a record; false if already gone.
   bool Delete(const RecordId& rid) SJ_EXCLUDES(mu_);

@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -196,9 +198,9 @@ TEST(HeapFilePropertyTest, RandomOpsKeepInvariantsAndMatchShadow) {
       shadow.erase(it);
     } else {
       for (const auto& [rid, want] : shadow) {
-        std::string got;
-        ASSERT_TRUE(file.Read(rid, &got));
-        ASSERT_EQ(got, want);
+        const std::optional<std::string_view> got = file.View(rid);
+        ASSERT_TRUE(got.has_value());
+        ASSERT_EQ(*got, want);
       }
     }
     audit::MaybeAudit(file);

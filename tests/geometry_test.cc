@@ -112,6 +112,28 @@ TEST(RectangleTest, ExtendAccumulatesBoundingBox) {
   EXPECT_EQ(box, Rectangle(-2, 3, 1, 7));
 }
 
+// ExtendPoint updates in place; it must agree with extending by the
+// point's degenerate rectangle.
+TEST(RectangleTest, ExtendPointMatchesExtendByFromPoint) {
+  Rng rng(3);
+  Rectangle in_place;
+  Rectangle by_rect;
+  for (int i = 0; i < 200; ++i) {
+    const Point p(rng.NextDouble(-50, 50), rng.NextDouble(-50, 50));
+    in_place.ExtendPoint(p);
+    by_rect.Extend(Rectangle::FromPoint(p));
+    ASSERT_EQ(in_place, by_rect) << i;
+  }
+}
+
+// ...and reject NaN, as FromPoint's checked constructor does.
+TEST(RectangleDeathTest, ExtendPointRejectsNaN) {
+  EXPECT_DEATH(Rectangle().ExtendPoint(Point(std::nan(""), 0)),
+               "invalid point");
+  Rectangle box(0, 0, 1, 1);
+  EXPECT_DEATH(box.ExtendPoint(Point(0, std::nan(""))), "invalid point");
+}
+
 TEST(PredicatesTest, Orientation) {
   EXPECT_EQ(Orientation(Point(0, 0), Point(1, 0), Point(1, 1)), 1);
   EXPECT_EQ(Orientation(Point(0, 0), Point(1, 0), Point(1, -1)), -1);

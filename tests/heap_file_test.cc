@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/buffer_pool.h"
@@ -22,11 +24,12 @@ TEST_F(HeapFileTest, InsertAndRead) {
   HeapFile file(&pool_);
   RecordId r0 = file.Insert("alpha");
   RecordId r1 = file.Insert("beta");
-  std::string out;
-  ASSERT_TRUE(file.Read(r0, &out));
-  EXPECT_EQ(out, "alpha");
-  ASSERT_TRUE(file.Read(r1, &out));
-  EXPECT_EQ(out, "beta");
+  std::optional<std::string_view> out = file.View(r0);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(*out, "alpha");
+  out = file.View(r1);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(*out, "beta");
   EXPECT_EQ(file.num_records(), 2);
 }
 
@@ -36,10 +39,10 @@ TEST_F(HeapFileTest, SpillsToMultiplePages) {
   std::vector<RecordId> rids;
   for (int i = 0; i < 50; ++i) rids.push_back(file.Insert(record));
   EXPECT_GT(file.num_pages(), 5);
-  std::string out;
   for (const RecordId& rid : rids) {
-    ASSERT_TRUE(file.Read(rid, &out));
-    EXPECT_EQ(out, record);
+    const std::optional<std::string_view> out = file.View(rid);
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ(*out, record);
   }
 }
 
@@ -47,8 +50,7 @@ TEST_F(HeapFileTest, DeleteHidesRecord) {
   HeapFile file(&pool_);
   RecordId rid = file.Insert("gone");
   EXPECT_TRUE(file.Delete(rid));
-  std::string out;
-  EXPECT_FALSE(file.Read(rid, &out));
+  EXPECT_FALSE(file.View(rid).has_value());
   EXPECT_FALSE(file.Delete(rid));
   EXPECT_EQ(file.num_records(), 0);
 }
@@ -88,9 +90,7 @@ TEST(ClusteredFileTest, PreservesLoadOrder) {
   for (int i = 0; i < 30; ++i) {
     EXPECT_EQ(file.Append("row-" + std::to_string(i)), i);
   }
-  std::string out;
-  file.Read(17, &out);
-  EXPECT_EQ(out, "row-17");
+  EXPECT_EQ(file.View(17), "row-17");
   std::vector<int64_t> order;
   file.Scan([&](int64_t ordinal, std::string_view) {
     order.push_back(ordinal);

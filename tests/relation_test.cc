@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "obs/metrics.h"
 #include "relational/relation.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -78,6 +79,43 @@ TEST_F(RelationTest, HeapAndClusteredAgreeLogically) {
   }
   for (int64_t i = 0; i < 30; ++i) {
     EXPECT_EQ(heap.Read(i), clustered.Read(i));
+  }
+}
+
+// ReadValue is Read(tid).value(column) at the same cost: one page access
+// and one counted heap read per call.
+TEST_F(RelationTest, ReadValueMatchesReadAtTheSameCost) {
+  const Schema schema({{"id", ValueType::kInt64},
+                       {"name", ValueType::kString},
+                       {"area", ValueType::kPolygon}});
+  Counter* heap_reads =
+      MetricsRegistry::Global().GetCounter("storage.heap_file.reads");
+  for (RelationLayout layout :
+       {RelationLayout::kHeap, RelationLayout::kClustered}) {
+    Relation rel("t", schema, &pool_, layout);
+    for (int64_t i = 0; i < 40; ++i) {
+      const double d = static_cast<double>(i);
+      rel.Insert(Tuple({Value(i), Value(std::string(i % 7, 'x')),
+                        Value(Polygon({{d, 0}, {d + 2, 0}, {d + 1, 3}}))}));
+    }
+    for (TupleId tid = 0; tid < rel.num_tuples(); ++tid) {
+      for (size_t column = 0; column < 3; ++column) {
+        pool_.ResetStats();
+        const int64_t heap_before = heap_reads->Value();
+        const Value got = rel.ReadValue(tid, column);
+        const BufferPoolStats value_stats = pool_.stats();
+        const int64_t value_reads = heap_reads->Value() - heap_before;
+        pool_.ResetStats();
+        const Value want = rel.Read(tid).value(column);
+        const int64_t tuple_reads =
+            heap_reads->Value() - heap_before - value_reads;
+        EXPECT_EQ(got, want) << tid << " " << column;
+        EXPECT_EQ(value_stats.hits + value_stats.misses, 1);
+        EXPECT_EQ(pool_.stats().hits + pool_.stats().misses, 1);
+        EXPECT_EQ(value_reads, layout == RelationLayout::kHeap ? 1 : 0);
+        EXPECT_EQ(tuple_reads, value_reads);
+      }
+    }
   }
 }
 

@@ -1,16 +1,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "core/memory_gentree.h"
 #include "exec/frozen_tree.h"
+#include "quadtree/quadtree.h"
 #include "relational/relation.h"
 #include "rtree/rtree.h"
 #include "rtree/rtree_gentree.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "workload/hierarchy_generator.h"
 #include "workload/rect_generator.h"
 
 namespace spatialjoin {
@@ -293,9 +300,11 @@ TEST_F(RTreeGenTreeTest, StructureMatchesRTree) {
 }
 
 // The R-tree adapter as it reads pages when every accessor decodes the
-// whole node (RTree::ReadNode): the oracle for RTreeGenTree's one-entry
-// reads. Node ids use the adapter's encoding, page * 256 + slot + 1, so
-// the two trees' ids can be compared directly.
+// whole node (RTree::ReadNode) and every leaf geometry the whole tuple:
+// the oracle for RTreeGenTree's one-entry reads, its one-page child
+// reads and its one-column tuple decode. Node ids use the adapter's
+// encoding, page * 256 + slot + 1, so the two trees' ids can be compared
+// directly.
 class FullPageDecodeGenTree : public GeneralizationTree {
  public:
   FullPageDecodeGenTree(const RTree* rtree, const Relation* relation,
@@ -345,6 +354,30 @@ class FullPageDecodeGenTree : public GeneralizationTree {
   int64_t num_nodes() const override {
     return 1 + rtree_->num_entries() + (rtree_->num_nodes() - 1);
   }
+  // The parent's page once (not for the root), then the child page once.
+  void ReadChildren(NodeId node,
+                    std::vector<ChildRecord>* out) const override {
+    out->clear();
+    PageId page = rtree_->root_page();
+    if (node != 0) {
+      const RTree::NodeView parent = rtree_->ReadNode(PageOf(node));
+      if (parent.is_leaf) return;
+      page = parent.payloads[SlotOf(node)];
+    }
+    const RTree::NodeView view = rtree_->ReadNode(page);
+    for (size_t i = 0; i < view.payloads.size(); ++i) {
+      ChildRecord& child = out->emplace_back();
+      child.id = page * 256 + static_cast<NodeId>(i) + 1;
+      child.mbr = view.mbrs[i];
+      child.height = rtree_->height() - view.level;
+      child.application = view.is_leaf;
+      child.expandable = !view.is_leaf;
+      child.tuple = view.is_leaf ? view.payloads[i] : kInvalidTupleId;
+      child.geometry = view.is_leaf && relation_ != nullptr
+                           ? relation_->Read(view.payloads[i]).value(column_)
+                           : Value(view.mbrs[i]);
+    }
+  }
 
  private:
   static PageId PageOf(NodeId node) { return (node - 1) / 256; }
@@ -357,6 +390,76 @@ class FullPageDecodeGenTree : public GeneralizationTree {
   size_t column_;
 };
 
+// Forwards every accessor of `tree` but not ReadChildren, so Materialize
+// over it runs the interface's default: the per-node accessor walk.
+class AccessorWalk : public GeneralizationTree {
+ public:
+  explicit AccessorWalk(const GeneralizationTree* tree) : tree_(tree) {}
+
+  NodeId root() const override { return tree_->root(); }
+  int height() const override { return tree_->height(); }
+  int HeightOf(NodeId node) const override { return tree_->HeightOf(node); }
+  std::vector<NodeId> Children(NodeId node) const override {
+    return tree_->Children(node);
+  }
+  Value Geometry(NodeId node) const override { return tree_->Geometry(node); }
+  Rectangle MbrOf(NodeId node) const override { return tree_->MbrOf(node); }
+  bool IsApplicationNode(NodeId node) const override {
+    return tree_->IsApplicationNode(node);
+  }
+  TupleId TupleOf(NodeId node) const override { return tree_->TupleOf(node); }
+  int64_t num_nodes() const override { return tree_->num_nodes(); }
+
+ private:
+  const GeneralizationTree* tree_;
+};
+
+// Plane values compare equal when both are NaN (the empty MBR).
+bool SamePlaneValue(double a, double b) {
+  return a == b || (std::isnan(a) && std::isnan(b));
+}
+
+// `got` and `want` hold the same snapshot, field by field.
+void ExpectSameSnapshot(const exec::FrozenTree& got,
+                        const exec::FrozenTree& want,
+                        const std::string& label) {
+  SCOPED_TRACE(label);
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  EXPECT_EQ(got.height(), want.height());
+  EXPECT_EQ(got.max_fanout(), want.max_fanout());
+  EXPECT_EQ(got.has_approx(), want.has_approx());
+  const MbrPlanes a = got.planes();
+  const MbrPlanes b = want.planes();
+  for (NodeId node = 0; node < want.num_nodes(); ++node) {
+    EXPECT_TRUE(SamePlaneValue(a.min_x[node], b.min_x[node])) << node;
+    EXPECT_TRUE(SamePlaneValue(a.min_y[node], b.min_y[node])) << node;
+    EXPECT_TRUE(SamePlaneValue(a.max_x[node], b.max_x[node])) << node;
+    EXPECT_TRUE(SamePlaneValue(a.max_y[node], b.max_y[node])) << node;
+    EXPECT_EQ(got.TupleAt(node), want.TupleAt(node)) << node;
+    EXPECT_EQ(got.HeightAt(node), want.HeightAt(node)) << node;
+    EXPECT_EQ(got.IsApplicationAt(node), want.IsApplicationAt(node)) << node;
+    EXPECT_EQ(got.ChildSpan(node).begin, want.ChildSpan(node).begin) << node;
+    EXPECT_EQ(got.ChildSpan(node).end, want.ChildSpan(node).end) << node;
+    EXPECT_EQ(got.GeometryRef(node), want.GeometryRef(node)) << node;
+    const RingApprox* ra = got.ApproxAt(node);
+    const RingApprox* rb = want.ApproxAt(node);
+    ASSERT_EQ(ra == nullptr, rb == nullptr) << node;
+    if (ra != nullptr) {
+      EXPECT_EQ(std::memcmp(ra, rb, sizeof(RingApprox)), 0) << node;
+    }
+  }
+}
+
+// Materialize over `tree` and over its accessor walk give one snapshot.
+void ExpectPagedMaterializeMatchesAccessorWalk(const GeneralizationTree& tree,
+                                               const std::string& label) {
+  const AccessorWalk walk(&tree);
+  const exec::FrozenTree got = exec::FrozenTree::Materialize(tree);
+  const exec::FrozenTree want = exec::FrozenTree::Materialize(walk);
+  EXPECT_EQ(got.num_nodes(), tree.num_nodes()) << label;
+  ExpectSameSnapshot(got, want, label);
+}
+
 // A three-level R-tree over polygons whose pages, with the relation's,
 // far exceed a small buffer pool, so any change in the order of page
 // accesses shows in the hit and miss counts.
@@ -364,7 +467,7 @@ class RTreeGenTreeReadsTest : public ::testing::Test {
  protected:
   RTreeGenTreeReadsTest()
       : disk_(2000),
-        pool_(&disk_, 12),
+        pool_(&disk_, 8),
         relation_("r",
                   Schema({{"id", ValueType::kInt64},
                           {"geom", ValueType::kPolygon}}),
@@ -416,6 +519,7 @@ TEST_F(RTreeGenTreeReadsTest, AccessorsMatchFullPageDecode) {
 TEST_F(RTreeGenTreeReadsTest, MaterializeMakesTheSamePoolAccesses) {
   const RTreeGenTree adapter(&rtree_, &relation_, 1);
   const FullPageDecodeGenTree oracle(&rtree_, &relation_, 1);
+  const AccessorWalk walk(&adapter);
   auto cold_materialize = [&](const GeneralizationTree& source,
                               BufferPoolStats* stats) {
     EXPECT_TRUE(pool_.Clear().ok());
@@ -426,13 +530,19 @@ TEST_F(RTreeGenTreeReadsTest, MaterializeMakesTheSamePoolAccesses) {
   };
   BufferPoolStats adapter_stats;
   BufferPoolStats oracle_stats;
+  BufferPoolStats walk_stats;
   const exec::FrozenTree got = cold_materialize(adapter, &adapter_stats);
   const exec::FrozenTree want = cold_materialize(oracle, &oracle_stats);
+  (void)cold_materialize(walk, &walk_stats);
   EXPECT_GT(oracle_stats.misses, 50);
   EXPECT_GT(oracle_stats.evictions, 50);
   EXPECT_EQ(adapter_stats.hits, oracle_stats.hits);
   EXPECT_EQ(adapter_stats.misses, oracle_stats.misses);
   EXPECT_EQ(adapter_stats.evictions, oracle_stats.evictions);
+  // One read per node page and one per tuple, against the accessor
+  // walk's page read per accessor call.
+  EXPECT_LT(adapter_stats.hits + adapter_stats.misses,
+            walk_stats.hits + walk_stats.misses);
   ASSERT_EQ(got.num_nodes(), want.num_nodes());
   for (NodeId node = 0; node < want.num_nodes(); ++node) {
     EXPECT_EQ(got.Geometry(node), want.Geometry(node));
@@ -442,6 +552,122 @@ TEST_F(RTreeGenTreeReadsTest, MaterializeMakesTheSamePoolAccesses) {
     EXPECT_EQ(got.IsApplicationNode(node), want.IsApplicationNode(node));
     EXPECT_EQ(got.Children(node), want.Children(node));
   }
+}
+
+// An R-tree over `count` rectangles or 7-gons stored in `layout`,
+// inserted at fan-out 6 or bulk-loaded at the page-derived fan-out (0).
+struct IndexedRelation {
+  IndexedRelation(BufferPool* pool, bool polygons, RelationLayout layout,
+                  int fanout, int count, uint64_t seed)
+      : relation("r",
+                 Schema({{"id", ValueType::kInt64},
+                         {"geom", polygons ? ValueType::kPolygon
+                                           : ValueType::kRectangle}}),
+                 pool, layout),
+        rtree(pool, RTreeSplit::kQuadratic, fanout) {
+    RectGenerator gen(Rectangle(0, 0, 100, 100), seed);
+    std::vector<std::pair<Rectangle, TupleId>> entries;
+    for (int i = 0; i < count; ++i) {
+      const Value geom = polygons ? Value(gen.NextPolygon(1, 4, 7))
+                                  : Value(gen.NextRect(1, 4));
+      entries.emplace_back(
+          geom.Mbr(),
+          relation.Insert(Tuple({Value(static_cast<int64_t>(i)), geom})));
+    }
+    if (fanout == 0) {
+      rtree.BulkLoadStr(std::move(entries));
+    } else {
+      for (const auto& [mbr, tid] : entries) rtree.Insert(mbr, tid);
+    }
+  }
+
+  Relation relation;
+  RTree rtree;
+};
+
+TEST(PagedMaterializeTest, RTreesMatchTheAccessorWalk) {
+  DiskManager disk(2000);
+  BufferPool pool(&disk, 64);
+  for (const bool polygons : {false, true}) {
+    for (const RelationLayout layout :
+         {RelationLayout::kHeap, RelationLayout::kClustered}) {
+      for (const int fanout : {6, 0}) {
+        const IndexedRelation indexed(&pool, polygons, layout, fanout, 400,
+                                      31);
+        ASSERT_GE(indexed.rtree.height(), 2);
+        const std::string label =
+            std::string(polygons ? "polygons" : "rectangles") +
+            (layout == RelationLayout::kHeap ? " heap" : " clustered") +
+            " fanout " + std::to_string(indexed.rtree.max_entries());
+        const RTreeGenTree with_relation(&indexed.rtree, &indexed.relation,
+                                         1);
+        ExpectPagedMaterializeMatchesAccessorWalk(with_relation, label);
+        const RTreeGenTree mbrs_only(&indexed.rtree, nullptr, 1);
+        ExpectPagedMaterializeMatchesAccessorWalk(mbrs_only,
+                                                  label + " no relation");
+      }
+    }
+  }
+}
+
+TEST(PagedMaterializeTest, RootOnlyTreesMatchTheAccessorWalk) {
+  DiskManager disk(2000);
+  BufferPool pool(&disk, 16);
+  const RTree empty(&pool, RTreeSplit::kQuadratic, 6);
+  const RTreeGenTree adapter(&empty, nullptr, 0);
+  ExpectPagedMaterializeMatchesAccessorWalk(adapter, "empty R-tree");
+  EXPECT_EQ(exec::FrozenTree::Materialize(adapter).num_nodes(), 1);
+
+  MemoryGenTree single;
+  single.AddNode(kInvalidNodeId, Value(Rectangle(0, 0, 1, 1)), 7);
+  ExpectPagedMaterializeMatchesAccessorWalk(single, "one-node hierarchy");
+}
+
+TEST(PagedMaterializeTest, HierarchiesAndQuadTreesMatchTheAccessorWalk) {
+  DiskManager disk(2000);
+  BufferPool pool(&disk, 64);
+  const Rectangle world(0, 0, 100, 100);
+  // Paper Fig. 3: every node, interior ones included, is an application
+  // object read from its relation.
+  HierarchyOptions options;
+  options.height = 3;
+  options.fanout = 4;
+  const GeneratedHierarchy fig3 =
+      GenerateHierarchy(world, options, &pool, RelationLayout::kHeap);
+  ExpectPagedMaterializeMatchesAccessorWalk(*fig3.tree, "Fig. 3 hierarchy");
+
+  // Polygon application objects above technical nodes and rectangles,
+  // so interior nodes carry ring records.
+  MemoryGenTree mixed;
+  const NodeId root = mixed.AddNode(kInvalidNodeId, Value(world));
+  for (int i = 0; i < 4; ++i) {
+    const double x = 25.0 * i;
+    const NodeId region = mixed.AddNode(
+        root,
+        Value(Polygon({Point(x + 12.5, 0), Point(x + 25, 50),
+                       Point(x + 12.5, 100), Point(x, 50)})),
+        i);
+    for (int k = 0; k < 3; ++k) {
+      const double y = 40.0 + 5.0 * k;
+      mixed.AddNode(region, Value(Rectangle(x + 10, y, x + 15, y + 4)),
+                    k == 1 ? kInvalidTupleId : 10 * (i + 1) + k);
+    }
+  }
+  ExpectPagedMaterializeMatchesAccessorWalk(mixed, "mixed hierarchy");
+
+  Relation objects("q",
+                   Schema({{"id", ValueType::kInt64},
+                           {"geom", ValueType::kRectangle}}),
+                   &pool);
+  QuadTree quadtree(world, 6);
+  RectGenerator gen(world, 17);
+  for (int i = 0; i < 200; ++i) {
+    const Rectangle mbr = gen.NextRect(1, 8);
+    quadtree.Insert(mbr, objects.Insert(Tuple(
+                             {Value(static_cast<int64_t>(i)), Value(mbr)})));
+  }
+  quadtree.AttachRelation(&objects, 1);
+  ExpectPagedMaterializeMatchesAccessorWalk(quadtree, "quadtree");
 }
 
 }  // namespace

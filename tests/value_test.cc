@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "relational/schema.h"
 #include "relational/tuple.h"
@@ -40,6 +41,43 @@ TEST(ValueTest, SerializeRoundTripAllTypes) {
             Value(Rectangle(-1, -2, 3, 4)));
   Polygon poly({{0, 0}, {2, 0}, {1, 3}});
   EXPECT_EQ(RoundTrip(Value(poly)), Value(poly));
+}
+
+// Every type decodes from a view into a larger buffer, and Skip stops
+// where Deserialize does.
+TEST(ValueTest, StringViewRoundTripAndSkip) {
+  const Value values[] = {Value(),
+                          Value(int64_t{-7}),
+                          Value(0.25),
+                          Value(std::string("abc")),
+                          Value(Point(1, 2)),
+                          Value(Rectangle(-1, -2, 3, 4)),
+                          Value(Polygon({{0, 0}, {2, 0}, {1, 3}})),
+                          Value(Polyline({{0, 0}, {5, 2}}))};
+  for (const Value& v : values) {
+    std::string buffer = "prefix";
+    v.SerializeTo(&buffer);
+    const size_t end = buffer.size();
+    buffer += "suffix";
+    const std::string_view view(buffer);
+    size_t pos = 6;
+    EXPECT_EQ(Value::Deserialize(view, &pos), v) << v.ToString();
+    EXPECT_EQ(pos, end) << v.ToString();
+    size_t skipped = 6;
+    Value::Skip(view, &skipped);
+    EXPECT_EQ(skipped, end) << v.ToString();
+  }
+}
+
+// A vertex list cut short fails its one bounds check, for Deserialize
+// and Skip alike.
+TEST(ValueDeathTest, TruncatedVertexListIsRejected) {
+  std::string bytes;
+  Value(Polygon({{0, 0}, {2, 0}, {1, 3}})).SerializeTo(&bytes);
+  bytes.pop_back();
+  size_t pos = 0;
+  EXPECT_DEATH(Value::Deserialize(bytes, &pos), "");
+  EXPECT_DEATH(Value::Skip(bytes, &pos), "");
 }
 
 TEST(ValueTest, PolylineRoundTripAndMbr) {
@@ -93,6 +131,17 @@ TEST(TupleTest, SerializeRoundTrip) {
   std::string bytes = t.Serialize();
   Tuple back = Tuple::Deserialize(bytes, 3);
   EXPECT_EQ(back, t);
+}
+
+TEST(TupleTest, DeserializeColumnDecodesOneColumn) {
+  const Tuple t({Value("label"), Value(Polygon({{0, 0}, {2, 0}, {1, 3}})),
+                 Value(int64_t{9}), Value(Point(7, 8))});
+  const std::string bytes = t.Serialize(200);
+  for (size_t column = 0; column < t.size(); ++column) {
+    EXPECT_EQ(Tuple::DeserializeColumn(std::string_view(bytes), column),
+              t.value(column))
+        << column;
+  }
 }
 
 TEST(TupleTest, PaddingToFixedSize) {

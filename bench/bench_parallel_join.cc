@@ -1,11 +1,12 @@
 // Experiment E-PAR — the exec layer's parallel strategies on a UNIFORM
-// workload: Algorithm JOIN with QualPairs sharded over the work-stealing
-// pool, and the PBSM-style partitioned join, swept over thread counts and
-// grid granularities. Every run is verified against the sequential
-// result before its timing is reported, and the trees plus the pool are
-// audited after the probes. Emits bench_parallel_join.metrics.json with
-// the speedup curves (plus the host's hardware_threads, so a 1-core CI
-// runner's flat curve is distinguishable from a real regression).
+// workload: Algorithm JOIN with QualPairs chunks claimed by the pool's
+// workers and the caller, and the PBSM-style partitioned join, swept
+// over thread counts and grid granularities. Every run is verified
+// against the sequential result before its timing is reported, and the
+// trees plus the pool are audited after the probes. Emits
+// bench_parallel_join.metrics.json with the speedup curves (plus the
+// host's hardware_threads, so a 1-core CI runner's flat curve is
+// distinguishable from a real regression).
 //
 // Usage: bench_parallel_join [--threads=N] [--trace=out.trace.json]
 // (N pins the sweep to one width; default sweeps 1, 2, 4, 8. --trace
@@ -130,7 +131,7 @@ int main(int argc, char** argv) {
     audit::AuditReport pool_audit = audit::AuditThreadPool(workers);
     double speedup = wall_ns > 0.0 ? baseline_ns / wall_ns : 0.0;
     std::printf("parallel_tree_join  W=%d      wall=%10.0fns speedup=%.2fx "
-                "stolen=%lld %s%s\n",
+                "helped=%lld %s%s\n",
                 width, wall_ns, speedup,
                 static_cast<long long>(workers.stats().tasks_stolen),
                 equal ? "results-identical" : "RESULT MISMATCH",

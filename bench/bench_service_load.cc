@@ -1,5 +1,5 @@
 // E-SVC — closed-loop load on the query service front-end (DESIGN.md
-// §12): a server over the work-stealing pool, 16 pipelined client
+// §12): a server over the thread pool, 16 pipelined client
 // connections each keeping a 64-request window in flight (1024 offered
 // concurrent requests — past the 256-slot admission bound, so the bench
 // exercises backpressure by construction), mixed SELECT and JOIN

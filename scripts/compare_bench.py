@@ -6,7 +6,7 @@ bench/figure_common.h) whose numeric leaves are seeded-deterministic —
 theta/Theta test counts, match counts, page reads, registry counters.
 This script flattens both documents to `path -> number` maps, compares
 them leaf by leaf, and exits nonzero when a tracked metric drifts past
-the threshold. Machine-dependent leaves (wall clock, speedups, steal
+the threshold. Machine-dependent leaves (wall clock, speedups, helper
 counts, process gauges) are ignored by default.
 
 Usage:

@@ -10,15 +10,16 @@ namespace audit {
 
 /// Validator for the exec layer's thread pool (DESIGN.md §7). Meant to
 /// run between queries, when the pool should be quiescent — a pool with
-/// work in flight legitimately fails the conservation checks, so call
-/// sites audit after ParallelFor/TaskGroup::Wait returned.
+/// work queued legitimately fails the conservation checks, so call sites
+/// audit after ParallelFor returned and every posted task started.
 ///
 /// Checks:
 ///  * the pool has at least one worker;
 ///  * task conservation: submitted == executed + queued (every submitted
 ///    task is either done or still waiting — none lost, none duplicated);
 ///  * a quiescent pool has nothing queued;
-///  * stolen tasks are a subset of executed tasks.
+///  * helpers that claimed work ("stolen") are a subset of executed
+///    tasks.
 AuditReport AuditThreadPool(const exec::ThreadPool& pool);
 
 /// Validator for a FrozenTree's ring approximations (RingApprox, built by

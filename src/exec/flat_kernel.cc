@@ -289,8 +289,9 @@ std::vector<RowPos> CutPairRows(const FrozenTree& r_tree,
   return cuts;
 }
 
-// A pool task's share of one join level.
-struct JoinChunk {
+// A chunk's share of one join level. Neighbouring chunks run on
+// different threads at once, so each gets its own cache lines.
+struct alignas(64) JoinChunk {
   JoinResult result;
   PairLevel next;
   LevelTally tally;
@@ -381,8 +382,8 @@ JoinResult ParallelTreeJoin(const FrozenTree& r_tree, const FrozenTree& s_tree,
     ++levels_run;
     ScopedSpan span(pooled ? "parallel_join.level" : "join.level",
                     pooled ? "exec" : "core");
-    // Watchdog heartbeat (DESIGN.md §10), once per level; pool workers
-    // beat per task.
+    // Watchdog heartbeat (DESIGN.md §10), once per level; ParallelFor
+    // beats once per claimed chunk.
     ActivityScope::BeatThisThread();
     TraceCounter("join.qual_pairs", current.pairs);
     // The JOIN4 passes descend into deeper subtrees, but their cost is

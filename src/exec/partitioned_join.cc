@@ -189,8 +189,9 @@ JoinResult PartitionedJoin(const std::vector<JoinItem>& r_items,
   }
   TraceCounter("pbsm.replicated_items", replicated);
 
-  // Per-tile parallel plane sweep into per-tile output slots.
-  struct TileOutput {
+  // Per-tile parallel plane sweep into per-tile output slots, a cache line
+  // apiece: neighbouring tiles run on different threads at once.
+  struct alignas(64) TileOutput {
     std::vector<std::pair<TupleId, TupleId>> matches;
     int64_t candidates = 0;
     int64_t theta_upper_tests = 0;
@@ -203,8 +204,6 @@ JoinResult PartitionedJoin(const std::vector<JoinItem>& r_items,
     const auto& s_list = s_tiles[static_cast<size_t>(tile)];
     if (r_list.empty() || s_list.empty()) return;
     SJ_SPAN_CAT("pbsm.tile_sweep", "exec");
-    // Per-tile heartbeat on whichever worker sweeps it.
-    ActivityScope::BeatThisThread();
     TileOutput& out = outputs[static_cast<size_t>(tile)];
 
     std::vector<SweepEntry> r_sweep;

@@ -1,11 +1,9 @@
 #ifndef SPATIALJOIN_EXEC_THREAD_POOL_H_
 #define SPATIALJOIN_EXEC_THREAD_POOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -16,36 +14,48 @@
 namespace spatialjoin {
 namespace exec {
 
-/// Fixed-size work-stealing thread pool — the substrate of the parallel
-/// execution layer (DESIGN.md §7).
+/// Fixed-size thread pool — the substrate of the parallel execution layer
+/// (DESIGN.md §7). The workers drain one FIFO task queue under one mutex.
+/// `Post` queues whole queries (the query service); `ParallelFor` spreads
+/// one loop over the workers and its calling thread.
 ///
-/// Each worker owns a deque: the owner pushes and pops at the back (LIFO,
-/// cache-friendly for recursively spawned work), idle workers steal from
-/// the front of a victim's deque (FIFO, so thieves take the oldest —
-/// typically largest — pending task). A thread calling `Wait` or
-/// `ParallelFor` participates in execution ("helping"), so a pool is never
-/// deadlocked by its own caller and a 1-worker pool still makes progress
-/// while the caller waits.
+/// ParallelFor claims, it does not spawn. `ParallelFor(n, body)` posts at
+/// most min(W, n - 1) helper tasks (W = `num_workers()`); the helpers and
+/// the caller take indices from one atomic cursor. The contract:
+///  * Exactly once: `body(i)` runs exactly once for each i in [0, n), and
+///    every run happens-before the return.
+///  * A caller alone runs in order: a caller that no worker helps claims
+///    every index in index order.
+///  * W == 1 or n <= 1 runs inline and posts nothing.
+///  * Take back, never wait on the queue: once the cursor passes n, the
+///    caller takes its own unstarted helpers back out of the queue and
+///    runs them inline, where each claims nothing. It then waits only for
+///    helpers that are running claimed bodies on workers. So the caller
+///    never runs a task it did not post and never waits on a queued task,
+///    and a ParallelFor inside a posted task cannot deadlock, even with
+///    every worker busy.
+///  * Quiescent on return: no task of the call is queued or running.
+///  * Counts repeat exactly: a call with W > 1 and n > 1 submits and
+///    executes exactly min(W, n - 1) tasks; a taken-back helper counts as
+///    executed.
+///  * Each claimed index beats the claiming thread's watchdog activity.
 ///
-/// Determinism contract: `ParallelFor(n, body)` invokes `body(i)` exactly
-/// once for every i in [0, n) and returns only after all invocations
-/// completed (with a happens-before edge to the caller). *Scheduling* is
-/// nondeterministic, so callers that need deterministic output write into
-/// pre-sized per-index slots and merge in index order — the pattern used
-/// by ParallelTreeJoin and PartitionedJoin, which makes their results
-/// bit-identical across worker counts.
+/// Scheduling is nondeterministic, so callers that need deterministic
+/// output write into pre-sized per-index slots and merge in index order —
+/// the pattern of ParallelTreeJoin and PartitionedJoin, whose results are
+/// bit-identical across worker counts. Neighbouring indices run on
+/// different threads at once: pad such slots to a cache line.
 ///
 /// Tasks must not throw: the engine's failure mode is SJ_CHECK (abort),
 /// and an exception escaping a task terminates the process.
 class ThreadPool {
  public:
-  /// Introspection snapshot, consumed by audit::AuditThreadPool and the
-  /// parallel benches. `tasks_executed` counts tasks dequeued and
-  /// launched (the counter is bumped before the task body runs, so it is
-  /// already up to date when the task signals its TaskGroup).
-  /// `tasks_stolen` counts executed tasks that were taken from another
-  /// worker's deque (helping by non-worker threads counts as stealing
-  /// too).
+  /// Introspection snapshot, consumed by audit::AuditThreadPool, STATS and
+  /// the parallel benches; taken under the queue mutex. `tasks_executed`
+  /// counts tasks taken off the queue, by a worker or by a ParallelFor
+  /// caller taking its helpers back. `tasks_stolen` counts ParallelFor
+  /// helpers that claimed at least one index, i.e. took work off their
+  /// caller; it never exceeds `tasks_executed`.
   struct Stats {
     int workers = 0;
     int64_t tasks_submitted = 0;
@@ -60,102 +70,62 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Drains nothing: outstanding tasks are completed before teardown
-  /// (destruction while a TaskGroup is still running is a checked error).
+  /// Joins the workers; a task still queued is a checked error.
   ~ThreadPool();
 
-  int num_workers() const { return static_cast<int>(workers_.size()); }
+  int num_workers() const { return static_cast<int>(threads_.size()); }
 
-  /// Runs `body(i)` for every i in [0, n), distributing indices over the
-  /// workers plus the calling thread; returns when all completed. With a
-  /// single worker (or n <= 1) the body runs inline on the caller, in
-  /// index order.
+  /// Runs `body(i)` for every i in [0, n) on the caller and at most
+  /// min(W, n - 1) helpers; returns when all completed (see the contract
+  /// above).
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& body);
 
-  /// Fire-and-forget: enqueues `fn` with no completion handle — the
-  /// caller owns its own completion signalling. This is how the query
-  /// service schedules whole queries onto the pool (inter-query
-  /// parallelism); the query body may itself call ParallelFor on the same
-  /// pool (intra-query parallelism) — a worker waiting at that inner
-  /// barrier helps run other pending tasks, including other posted
-  /// queries, so the pool is never deadlocked by nesting. Like all pool
-  /// tasks, `fn` must not throw. SJ_BLOCKING: posting contends on a
-  /// worker deque mutex and wakes a sleeper — never call it with a
-  /// caller-side Mutex held (DESIGN.md §9).
+  /// Fire-and-forget: queues `fn` with no completion handle. The query
+  /// service posts whole queries; a query may call ParallelFor on the
+  /// same pool. SJ_BLOCKING: posting takes the queue mutex and wakes a
+  /// sleeper — never call it with a caller-side Mutex held (DESIGN.md §9).
   SJ_BLOCKING void Post(std::function<void()> fn);
 
-  /// A joinable batch of independently spawned tasks.
-  class TaskGroup {
-   public:
-    explicit TaskGroup(ThreadPool* pool);
-    TaskGroup(const TaskGroup&) = delete;
-    TaskGroup& operator=(const TaskGroup&) = delete;
-    /// Waits for stragglers (checked: Wait() should be called explicitly).
-    ~TaskGroup();
-
-    /// Enqueues `fn` onto the pool.
-    void Spawn(std::function<void()> fn);
-
-    /// Blocks until every spawned task completed, executing pending pool
-    /// tasks while waiting.
-    void Wait();
-
-   private:
-    // Shared with the spawned closures so a completing task can signal
-    // safely even if the waiter returns (and the group dies) the moment
-    // the count hits zero.
-    struct Sync {
-      Mutex mu;
-      CondVar cv;
-      int64_t pending SJ_GUARDED_BY(mu) = 0;
-    };
-
-    ThreadPool* pool_;
-    std::shared_ptr<Sync> sync_;
-  };
-
-  /// Consistent snapshot of the pool's counters and queue occupancy.
+  /// Consistent snapshot of the pool's counters and queue length.
   Stats stats() const;
 
-  /// True iff no task is queued or in flight — the pool's steady-state
-  /// invariant between queries (audited by audit::AuditThreadPool).
+  /// True iff nothing is queued and every submitted task was taken off
+  /// the queue — the pool's steady-state invariant between queries
+  /// (audited by audit::AuditThreadPool).
   bool Quiescent() const;
 
  private:
-  struct Worker {
-    Mutex mu;
-    std::deque<std::function<void()>> tasks SJ_GUARDED_BY(mu);
+  struct ForCall;
+
+  struct Task {
+    std::function<void()> fn;
+    // The ParallelFor call that posted this helper; null for Post.
+    const ForCall* call = nullptr;
   };
 
-  // Pushes onto a deque (the calling worker's own when called from inside
-  // the pool, else round-robin) and wakes one sleeper. SJ_BLOCKING for
-  // the same reason as Post.
-  SJ_BLOCKING void Submit(std::function<void()> fn);
+  // Queues `fn` and wakes one sleeper. SJ_BLOCKING for the same reason as
+  // Post.
+  SJ_BLOCKING void Submit(std::function<void()> fn, const ForCall* call);
 
-  // Executes one pending task if any is available. `self` is the calling
-  // worker's index, or -1 for an external helping thread. Returns false
-  // when every deque was empty.
-  bool RunOneTask(int self);
+  // A helper's last step: counts it as stolen if it claimed an index and
+  // wakes its caller once the call's last helper finished.
+  void FinishHelper(ForCall* call, bool claimed);
 
   void WorkerLoop(int self);
 
   // Process-wide pool sequence number; names the workers' trace tracks.
   const int pool_id_;
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
+  mutable Mutex mu_;
+  CondVar work_cv_;  // a task was queued, or stop_
+  CondVar done_cv_;  // a ParallelFor call's last helper finished
+  std::deque<Task> queue_ SJ_GUARDED_BY(mu_);
+  bool stop_ SJ_GUARDED_BY(mu_) = false;
+  int64_t submitted_ SJ_GUARDED_BY(mu_) = 0;
+  int64_t executed_ SJ_GUARDED_BY(mu_) = 0;
+  int64_t stolen_ SJ_GUARDED_BY(mu_) = 0;
 
-  Mutex wake_mu_;
-  CondVar wake_cv_;
-  bool stop_ SJ_GUARDED_BY(wake_mu_) = false;
-  // Bumped on every Submit (under wake_mu_): lets a worker that found all
-  // deques empty sleep without missing a submission that raced its scan.
-  uint64_t work_epoch_ SJ_GUARDED_BY(wake_mu_) = 0;
-
-  std::atomic<uint64_t> next_queue_{0};
-  std::atomic<int64_t> submitted_{0};
-  std::atomic<int64_t> executed_{0};
-  std::atomic<int64_t> stolen_{0};
+  std::vector<std::thread> threads_;  // after what the workers use
 };
 
 }  // namespace exec

@@ -17,13 +17,13 @@ namespace attribution {
 /// and every charge hook hit by any thread working *for that query*
 /// lands in the sink. Its QueryTrace levels difference it (LevelTrace).
 ///
-/// Propagation across the work-stealing pool is the load-bearing part:
+/// Propagation across the pool is the load-bearing part:
 /// ThreadPool::Submit captures the submitting thread's current sink and
 /// re-installs it around the task body, so a ParallelTreeJoin chunk that
-/// gets stolen by another worker — or helped along by a waiting caller —
-/// still charges the query that spawned it, at any thread count. The
-/// pool wrapper also measures the task's queue wait (submit → run) and
-/// charges it to the same sink.
+/// a helper claims on another worker still charges the query whose
+/// ParallelFor posted the helper, at any thread count. The pool wrapper
+/// also measures the task's queue wait (submit → run) and charges it to
+/// the same sink.
 ///
 /// Hot-path discipline: a hook is one thread-local load, a null check,
 /// and one relaxed fetch_add — no allocation, no locks, no branches the

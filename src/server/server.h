@@ -30,7 +30,7 @@ namespace server {
 /// while serving.
 ///
 /// Threads: one I/O thread, however many sessions are open, and the
-/// caller-supplied work-stealing pool shared by *all* query execution
+/// caller-supplied thread pool shared by *all* query execution
 /// (inter- and intra-query parallelism alike). The I/O thread's epoll loop
 /// alone makes socket calls; a finished query queues its reply and wakes
 /// it through an eventfd. The scheduler's admission bound keeps the

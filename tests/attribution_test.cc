@@ -3,14 +3,13 @@
 // The contract under test is *exactness*: with every charging call site
 // inside some query's scope, charges are neither lost nor double-counted
 // — each query's sink accumulates precisely its own work, at any worker
-// count, even when the work-stealing pool migrates that query's tasks
-// across threads. The property test sweeps 1/2/4/8 workers with
-// concurrent mixed queries and asserts per-query sums are exact and that
-// their total matches the global buffer-pool counters' deltas.
+// count, even when the pool runs that query's work on other threads. The
+// property test sweeps 1/2/4/8 workers with concurrent mixed queries and
+// asserts per-query sums are exact and that their total matches the
+// global buffer-pool counters' deltas.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -73,12 +72,11 @@ TEST(AttributionScope, ScopesNestAndRestore) {
   EXPECT_EQ(inner.Snapshot().pages_hit, 2);
 }
 
-// The load-bearing property: N concurrent queries over a shared
-// work-stealing pool, each charging a deterministic amount from inside
-// ParallelFor bodies (which the pool may run on any worker, steal, or
-// help along from the waiting caller). Every query's sink must end up
-// with exactly its own totals — no losses, no cross-query bleed — at
-// every worker count.
+// The load-bearing property: N concurrent queries over a shared pool,
+// each charging a deterministic amount from inside ParallelFor bodies
+// (which the caller or any worker's helper may claim). Every query's
+// sink must end up with exactly its own totals — no losses, no
+// cross-query bleed — at every worker count.
 TEST(AttributionProperty, ExactAndNonLeakingAcrossWorkerCounts) {
   for (int workers : {1, 2, 4, 8}) {
     exec::ThreadPool pool(workers);
@@ -92,7 +90,7 @@ TEST(AttributionProperty, ExactAndNonLeakingAcrossWorkerCounts) {
     // Each "query" runs on its own client thread (the service pattern:
     // one completion closure per query installs the scope, then fans out
     // intra-query work on the shared pool). Mixed sizes so queries
-    // overlap unevenly and stealing actually happens.
+    // overlap unevenly and helpers actually claim work.
     std::vector<std::thread> clients;
     for (int q = 0; q < kQueries; ++q) {
       clients.emplace_back([&pool, &sinks, q] {
@@ -119,40 +117,31 @@ TEST(AttributionProperty, ExactAndNonLeakingAcrossWorkerCounts) {
   }
 }
 
-// Fire-and-forget propagation: TaskGroup::Spawn must carry the
-// submitting thread's sink onto the spawned task — including tasks
-// spawned *by* spawned tasks — and count each wrapped task exactly once.
-TEST(AttributionProperty, TaskGroupPropagatesAndCountsTasks) {
+// Propagation through nested ParallelFor calls: every helper, including
+// the helpers of calls made *inside* helpers, must carry the caller's
+// sink, and the pool's wrapper must count each helper exactly once.
+TEST(AttributionProperty, NestedParallelForPropagatesAndCountsTasks) {
   exec::ThreadPool pool(4);
-  constexpr int kOuter = 8;
-  constexpr int kInnerPerOuter = 4;
+  constexpr int64_t kOuter = 8;
+  constexpr int64_t kInnerPerOuter = 4;
 
   QueryCharges charges;
   {
     QueryChargeScope scope(&charges);
-    exec::ThreadPool::TaskGroup outer(&pool);
-    std::atomic<int> pending_inner{kOuter};
-    exec::ThreadPool::TaskGroup inner(&pool);
-    for (int i = 0; i < kOuter; ++i) {
-      outer.Spawn([&inner, &pending_inner] {
-        ChargePagesHit();
-        for (int j = 0; j < kInnerPerOuter; ++j) {
-          inner.Spawn([] { ChargePagesRead(); });
-        }
-        pending_inner.fetch_sub(1);
-      });
-    }
-    outer.Wait();
-    ASSERT_EQ(pending_inner.load(), 0);
-    inner.Wait();
+    pool.ParallelFor(kOuter, [&pool](int64_t) {
+      ChargePagesHit();
+      pool.ParallelFor(kInnerPerOuter, [](int64_t) { ChargePagesRead(); });
+    });
   }
 
   const Charges got = charges.Snapshot();
   EXPECT_EQ(got.pages_hit, kOuter);
   EXPECT_EQ(got.pages_read, kOuter * kInnerPerOuter);
-  // Every spawned task ran under the propagated sink and was counted
-  // exactly once by the pool's wrapper.
-  EXPECT_EQ(got.pool_tasks, kOuter + kOuter * kInnerPerOuter);
+  // min(W, n - 1) helpers per call: 4 for the outer call, 3 for each of
+  // the 8 inner ones — whether they ran on a worker or were taken back.
+  EXPECT_EQ(got.pool_tasks, 4 + kOuter * 3);
+  EXPECT_GE(got.queue_wait_ns, 0);
+  EXPECT_TRUE(pool.Quiescent());
 }
 
 // A query that does nothing must be charged nothing, even while other

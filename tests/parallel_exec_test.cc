@@ -227,6 +227,20 @@ std::string Where(const std::string& label, const ThetaOperator& op,
                      : std::to_string(width) + " threads");
 }
 
+// The pool tasks a pooled join ran since `*executed`, which it advances.
+// ParallelFor claims, it does not spawn: a join runs at most W helpers per
+// level of its trace.
+int64_t CheckJoinTasks(const exec::ThreadPool& pool, int64_t* executed,
+                       const QueryTrace& trace, const std::string& where) {
+  const int64_t now = pool.stats().tasks_executed;
+  const int64_t tasks = now - *executed;
+  *executed = now;
+  EXPECT_LE(tasks, pool.num_workers() *
+                       static_cast<int64_t>(trace.levels().size()))
+      << where;
+  return tasks;
+}
+
 // Equal trace level shapes: the same heights, worklists and Θ outcomes
 // (entries pruned vs descended), which every tree kernel must share.
 void ExpectSameShape(const QueryTrace& got, const QueryTrace& want,
@@ -402,12 +416,19 @@ int64_t ExpectFlatJoinIsExact(
           << where;
       EXPECT_EQ(counting.theta_count(), flat.theta_tests) << where;
       ExpectSameLevels(flat_trace, pruned_trace, where);
-      if (workers != nullptr && width == 8) {
-        tasks += workers->stats().tasks_executed;
+      int64_t executed = 0;
+      if (workers != nullptr) {
+        const int64_t join_tasks =
+            CheckJoinTasks(*workers, &executed, flat_trace, where);
+        if (width == 8) tasks += join_tasks;
       }
       QueryTrace plain_trace("join");
       const JoinResult plain = exec::ParallelTreeJoin(
           r_frozen, s_frozen, *entry.op, workers.get(), nullptr, &plain_trace);
+      if (workers != nullptr) {
+        CheckJoinTasks(*workers, &executed, plain_trace,
+                       where + " undecorated");
+      }
       EXPECT_EQ(plain.matches, generic.matches) << where << " undecorated";
       EXPECT_EQ(plain.qual_pairs_examined, generic.qual_pairs_examined)
           << where << " undecorated";
@@ -593,16 +614,20 @@ TEST_F(ParallelExecTest, FlatJoinThetaTestsOverlappingApplicationPairsOnce) {
     for (int width : kPoolWidths) {
       const std::string where = Where(c.label, op, width);
       std::unique_ptr<exec::ThreadPool> workers = PoolOfWidth(width);
-      const JoinResult result =
-          exec::ParallelTreeJoin(r_frozen, s_frozen, op, workers.get());
+      QueryTrace trace("join");
+      const JoinResult result = exec::ParallelTreeJoin(
+          r_frozen, s_frozen, op, workers.get(), nullptr, &trace);
       EXPECT_EQ(result.theta_tests, candidates) << where;
       if (!c.polygons) {
         EXPECT_EQ(result.theta_tests,
                   static_cast<int64_t>(result.matches.size()))
             << where;
       }
-      if (workers != nullptr && width == 8) {
-        tasks += workers->stats().tasks_executed;
+      int64_t executed = 0;
+      if (workers != nullptr) {
+        const int64_t join_tasks =
+            CheckJoinTasks(*workers, &executed, trace, where);
+        if (width == 8) tasks += join_tasks;
       }
     }
   }
@@ -674,7 +699,9 @@ TEST_F(ParallelExecTest, MultiStepRefineKeepsTheFlatJoinExact) {
     ExpectSameShape(flat_trace, generic_trace, where);
     ExpectSameLevels(flat_trace, pruned_trace, where);
     if (width == 4) {
-      EXPECT_GT(workers->stats().tasks_executed, 0) << where;
+      int64_t executed = 0;
+      EXPECT_GT(CheckJoinTasks(*workers, &executed, flat_trace, where), 0)
+          << where;
     }
   }
 }

@@ -167,7 +167,7 @@ void RenderFrame(const JsonValue& stats, const std::string& socket_path,
       static_cast<long long>(stats.IntAt("sessions.opened")),
       static_cast<long long>(stats.IntAt("sessions.protocol_errors")),
       static_cast<long long>(stats.IntAt("sessions.write_failures")));
-  std::printf("pool        workers %lld   submitted %lld   stolen %lld   "
+  std::printf("pool        workers %lld   submitted %lld   helped %lld   "
               "queued %lld\n",
               static_cast<long long>(stats.IntAt("pool.workers")),
               static_cast<long long>(stats.IntAt("pool.tasks_submitted")),

@@ -85,7 +85,7 @@ std::string JoinPlan::ToString() const {
 
 namespace {
 
-constexpr int kNumAlternatives = 7;
+constexpr int kNumAlternatives = 5;
 
 /// Prices every strategy at the given selectivity.  Feasibility is
 /// independent of p, so callers re-invoke this to bracket the costs at
@@ -96,7 +96,6 @@ std::array<double, kNumAlternatives> PriceAlternatives(
   JoinStatistics priced = stats;
   priced.selectivity = selectivity;
   ModelParameters params = FitModelParameters(priced);
-  params.threads = std::max(1, ctx.threads);
   // The planner has no locality knowledge — score with UNIFORM, the
   // conservative choice (locality only helps the tree strategies).
   JoinCosts join_costs = ComputeJoinCosts(params, MatchDistribution::kUniform);
@@ -116,11 +115,6 @@ std::array<double, kNumAlternatives> PriceAlternatives(
              params.p * static_cast<double>(params.N()) *
                  static_cast<double>(params.N()) * params.c_theta;
   costs[4] = join_costs.d_iii + ctx.updates_per_query * update_costs.u_iii;
-  // Parallel tree join maintains the same trees as IIb.
-  costs[5] = join_costs.d_ii_par + ctx.updates_per_query * update_costs.u_iib;
-  // The partitioned join builds its grid per query — no structure to
-  // maintain.
-  costs[6] = join_costs.d_pbsm;
   return costs;
 }
 
@@ -142,11 +136,6 @@ JoinPlan PlanJoin(const JoinStatistics& stats, const PlannerContext& ctx) {
              false};
   alts[4] = {JoinStrategy::kJoinIndex, ctx.join_index_available, costs[4],
              false};
-  alts[5] = {JoinStrategy::kParallelTreeJoin,
-             ctx.r_tree_available && ctx.s_tree_available && ctx.threads > 1,
-             costs[5], false};
-  alts[6] = {JoinStrategy::kPartitionedJoin, ctx.probe_window_available,
-             costs[6], false};
 
   plan.strategy = JoinStrategy::kNestedLoop;
   plan.estimated_cost = alts[0].estimated_cost;

@@ -50,12 +50,6 @@ struct PlannerContext {
   /// Expected inserts per join query; join-index maintenance is charged
   /// at U_III per insert, tree maintenance at U_IIb.
   double updates_per_query = 0.0;
-  /// Worker threads available for the exec-layer strategies; parallel
-  /// alternatives are infeasible below 2.
-  int threads = 1;
-  /// θ has a finite probe window (Table 1 column W(b)); required by the
-  /// partitioned (PBSM-style) join.
-  bool probe_window_available = false;
 };
 
 /// One scored alternative, for explainability.
@@ -70,11 +64,12 @@ struct PlannedAlternative {
   bool near_tie = false;
 };
 
-/// The chosen plan plus all scored alternatives.
+/// The chosen plan plus all scored alternatives. The pooled strategies
+/// are not priced: the model has no term for an in-memory run's CPU time.
 struct JoinPlan {
   JoinStrategy strategy = JoinStrategy::kNestedLoop;
   double estimated_cost = 0.0;
-  PlannedAlternative alternatives[7];
+  PlannedAlternative alternatives[5];
   /// Renders the ranking for diagnostics.
   std::string ToString() const;
 };

@@ -1,6 +1,5 @@
 #include "costmodel/join_cost.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -82,15 +81,6 @@ JoinCosts ComputeJoinCosts(const ModelParameters& params,
   costs.d_iib = costs.d_ii_compute +
                 params.c_io * (passes_tree * scan_clustered +
                                load_clustered);
-
-  // Parallel strategies (DESIGN.md §7): only computation scales with the
-  // worker count — I/O stays on the materializing thread.
-  const double workers = static_cast<double>(std::max(1, params.threads));
-  costs.d_ii_par = costs.d_ii_compute / workers +
-                   params.c_io * (passes_tree * scan_clustered +
-                                  load_clustered);
-  costs.d_pbsm = 2.0 * pages * params.c_io +
-                 params.p * n_tuples * n_tuples * params.c_theta / workers;
 
   // Strategy III (reconstructed; see header and DESIGN.md §3.2).
   double expected_entries = 0.0;  // W

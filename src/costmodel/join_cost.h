@@ -15,15 +15,6 @@ struct JoinCosts {
   double d_iii = 0.0;  ///< strategy III: join index
   /// Shared computation term D_II^Θ (identical for IIa and IIb).
   double d_ii_compute = 0.0;
-  /// Parallel Algorithm JOIN over W = params.threads workers: the
-  /// computation term divides by W (QualPairs worklists are sharded),
-  /// the clustered I/O term does not (the tree snapshot is materialized
-  /// by one thread).  D_II_par = D_II^Θ/W + (D_IIb − D_II^Θ).
-  double d_ii_par = 0.0;
-  /// PBSM-style partitioned join (DESIGN.md §7): one sequential read of
-  /// each relation plus the sweep's candidate verification divided by W.
-  /// D_PBSM = 2·⌈N/m⌉·C_IO + p·N²·C_Θ/W.
-  double d_pbsm = 0.0;
 };
 
 /// Evaluates D_I, D_IIa, D_IIb, D_III for the given parameters and

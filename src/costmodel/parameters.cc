@@ -40,7 +40,7 @@ std::string ModelParameters::ToString() const {
   os << "n=" << n << " k=" << k << " p=" << p << " v=" << v << " l=" << l
      << " h=" << h << " T=" << T << " s=" << s << " z=" << z << " M=" << M
      << " C_theta=" << c_theta << " C_IO=" << c_io << " C_U=" << c_u
-     << " W=" << threads << " | N=" << N() << " m=" << m() << " d=" << d();
+     << " | N=" << N() << " m=" << m() << " d=" << d();
   return os.str();
 }
 

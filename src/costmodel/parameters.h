@@ -30,11 +30,6 @@ struct ModelParameters {
   double c_io = 1000.0;  ///< cost of one page access
   double c_u = 1.0;      ///< cost of one update computation step
 
-  /// Worker threads available to the parallel strategies (DESIGN.md §7).
-  /// Only the computation terms scale with it; I/O stays serialized
-  /// because the storage layer is single-threaded.
-  int threads = 1;
-
   /// Derived: number of tuples in one relation = number of tree nodes,
   /// Σ_{i=0..n} k^i (Table 3: 1,111,111 for n=6, k=10).
   int64_t N() const;

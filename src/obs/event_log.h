@@ -51,8 +51,8 @@ enum class EventType : uint8_t {
   /// A flight dump was written (and why).
   kDump,
   /// A completed query entered the service slow-query ring (worst recent
-  /// by latency, or lowest θ/Θ pass rate); detail names the session, request
-  /// id, and the offending measurement.
+  /// by latency); detail names the session, request id, strategy, outcome
+  /// and wall time.
   kSlowQuery,
 };
 

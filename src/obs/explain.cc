@@ -29,7 +29,6 @@ PredictedComponents Predict(JoinStrategy strategy,
                             const ModelParameters& params,
                             MatchDistribution dist, bool clustered) {
   const double n_tuples = static_cast<double>(params.N());
-  const double m = static_cast<double>(params.m());
   const double pages = static_cast<double>(params.RelationPages());
   JoinCosts costs = ComputeJoinCosts(params, dist);
   PredictedComponents out;
@@ -42,7 +41,10 @@ PredictedComponents Predict(JoinStrategy strategy,
           params.c_io;
       break;
     }
-    case JoinStrategy::kTreeJoin: {
+    case JoinStrategy::kTreeJoin:
+    case JoinStrategy::kParallelTreeJoin: {
+      // A pooled run makes the same evaluations and page accesses as the
+      // sequential one: parallelism divides wall time, not work.
       double tree_cost = clustered ? costs.d_iib : costs.d_iia;
       out.theta_evaluations = costs.d_ii_compute / params.c_theta;
       out.page_accesses = (tree_cost - costs.d_ii_compute) / params.c_io;
@@ -57,9 +59,11 @@ PredictedComponents Predict(JoinStrategy strategy,
           (tree_cost - costs.d_ii_compute) / params.c_io + pages;
       break;
     }
-    case JoinStrategy::kSortMergeZOrder: {
-      // One z-decomposition pass over each relation, then p·N² candidate
-      // verifications (the planner's model).
+    case JoinStrategy::kSortMergeZOrder:
+    case JoinStrategy::kPartitionedJoin: {
+      // One partitioning pass over each relation (z-decomposition or the
+      // PBSM grid), then p·N² candidate verifications (the planner's
+      // model for sort-merge).
       out.theta_evaluations = params.p * n_tuples * n_tuples;
       out.page_accesses = 2.0 * pages;
       break;
@@ -70,24 +74,7 @@ PredictedComponents Predict(JoinStrategy strategy,
       out.page_accesses = costs.d_iii / params.c_io;
       break;
     }
-    case JoinStrategy::kParallelTreeJoin: {
-      // Same evaluations and page accesses as the sequential tree join —
-      // parallelism divides wall time, not work (D_II_par's /W applies to
-      // the cost units, not the event counts measured here).
-      double tree_cost = clustered ? costs.d_iib : costs.d_iia;
-      out.theta_evaluations = costs.d_ii_compute / params.c_theta;
-      out.page_accesses = (tree_cost - costs.d_ii_compute) / params.c_io;
-      break;
-    }
-    case JoinStrategy::kPartitionedJoin: {
-      // D_PBSM decomposed: p·N² candidate verifications after one read of
-      // each relation.
-      out.theta_evaluations = params.p * n_tuples * n_tuples;
-      out.page_accesses = 2.0 * pages;
-      break;
-    }
   }
-  (void)m;
   return out;
 }
 

@@ -36,6 +36,9 @@ namespace {
 // ---------------------------------------------------------------------------
 
 constexpr size_t kDumpPathBytes = 512;
+// Caps on dump size: newest-first retention per section.
+constexpr uint64_t kDumpMaxEvents = 1024;
+constexpr uint64_t kDumpMaxSpansPerThread = 2048;
 
 // Written by Install() before the handlers are armed (and at static init
 // from SJ_FLIGHT_DUMP); read by open() in the dump path.
@@ -45,8 +48,6 @@ std::atomic<bool> g_installed{false};
 std::atomic<bool> g_signals_installed{false};
 std::atomic<int64_t> g_stall_budget_ns{int64_t{10} * 1000 * 1000 * 1000};
 std::atomic<int64_t> g_watchdog_interval_ms{100};
-std::atomic<int64_t> g_max_events{1024};
-std::atomic<int64_t> g_max_spans_per_thread{2048};
 
 std::atomic<int64_t> g_dumps_written{0};
 // Left set after a fatal dump on purpose: the check-failure path aborts
@@ -416,9 +417,7 @@ SJ_SIGNAL_SAFE void WriteEventsSection(FdWriter& w) {
   }
   const uint64_t total = log->total();
   uint64_t window = total < log->capacity() ? total : log->capacity();
-  const auto max_events =
-      static_cast<uint64_t>(g_max_events.load(std::memory_order_relaxed));
-  if (window > max_events) window = max_events;
+  if (window > kDumpMaxEvents) window = kDumpMaxEvents;
 
   w.Text("\"capacity\": ");
   w.Uint(log->capacity());
@@ -498,8 +497,6 @@ SJ_SIGNAL_SAFE void WriteSpansSection(FdWriter& w) {
   // pairs broken by wraparound are present, unlike trace_export's output.
   w.Text("\"spans\": {\"repaired\": false, \"threads\": [");
   const int ring_count = g_ring_count.load(std::memory_order_acquire);
-  const auto max_spans = static_cast<uint64_t>(
-      g_max_spans_per_thread.load(std::memory_order_relaxed));
   bool first_ring = true;
   for (int r = 0; r < ring_count; ++r) {
     const SpanRing* ring = g_rings[r].load(std::memory_order_relaxed);
@@ -508,7 +505,7 @@ SJ_SIGNAL_SAFE void WriteSpansSection(FdWriter& w) {
     first_ring = false;
     const uint64_t head = ring->head();
     uint64_t window = head < ring->capacity() ? head : ring->capacity();
-    if (window > max_spans) window = max_spans;
+    if (window > kDumpMaxSpansPerThread) window = kDumpMaxSpansPerThread;
     w.Text("\n  {\"tid\": ");
     w.Int(ring->tid());
     w.Text(", \"name\": ");
@@ -582,7 +579,7 @@ SJ_SIGNAL_SAFE void WriteDump(int fd, const char* kind, const char* detail,
                               bool fatal) {
   const int64_t now = MonotonicNowNs();
   FdWriter w(fd);
-  w.Text("{\n\"flightdump_version\": 1,\n");
+  w.Text("{\n\"flightdump_version\": 2,\n");
   w.Text("\"pid\": ");
   w.Int(static_cast<int64_t>(getpid()));
   w.Text(",\n\"reason\": {\"kind\": ");
@@ -885,9 +882,6 @@ void FlightRecorder::Install(const FlightRecorderOptions& options) {
   g_dump_path[n] = '\0';
   g_stall_budget_ns.store(options.stall_budget_ns, std::memory_order_relaxed);
   g_watchdog_interval_ms.store(options.watchdog_interval_ms,
-                               std::memory_order_relaxed);
-  g_max_events.store(options.dump_max_events, std::memory_order_relaxed);
-  g_max_spans_per_thread.store(options.dump_max_spans_per_thread,
                                std::memory_order_relaxed);
   {
     MutexLock lock(g_refresh_mu);

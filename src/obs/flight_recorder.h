@@ -37,14 +37,11 @@ struct FlightRecorderOptions {
   int64_t watchdog_interval_ms = 100;
   /// A non-idle activity whose heartbeat is older than this is stalled.
   int64_t stall_budget_ns = int64_t{10} * 1000 * 1000 * 1000;
-  /// Caps on dump size: newest-first retention per section.
-  int64_t dump_max_events = 1024;
-  int64_t dump_max_spans_per_thread = 2048;
 };
 
 class FlightRecorder {
  public:
-  /// Arms the recorder: remembers the dump path and caps, installs the
+  /// Arms the recorder: remembers the dump path and options, installs the
   /// fatal-signal handlers (on an alternate stack) and the SJ_CHECK dump
   /// observer, and takes the first pre-serialized snapshot. Idempotent;
   /// later calls re-point the dump path and options. Also invoked

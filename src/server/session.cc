@@ -287,12 +287,6 @@ void Session::AdmitQuery(QueryRecord record, int64_t deadline_ns,
         record.qual_pairs = result.qual_pairs_examined;
         record.nodes_accessed = result.nodes_accessed;
         record.matches = static_cast<int64_t>(result.matches.size());
-        record.residual =
-            (result.theta_tests == 0 && result.theta_upper_tests == 0)
-                ? 1.0
-                : static_cast<double>(result.theta_tests) /
-                      static_cast<double>(
-                          std::max<int64_t>(1, result.theta_upper_tests));
 
         // The worker encodes the reply; the loop sends it.
         std::string reply;

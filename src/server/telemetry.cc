@@ -1,7 +1,6 @@
 #include "server/telemetry.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "common/analysis_annotations.h"
@@ -21,13 +20,6 @@ constexpr int kWindowSlices = 16;
 constexpr int64_t kSliceNs = 250LL * 1000 * 1000;
 
 constexpr int64_t kDefaultSlowEventThresholdNs = 10LL * 1000 * 1000;
-
-// Ranking key for the slow-by-residual ring: distance of the θ/Θ pass
-// rate (QueryRecord::residual) from 1.0 in log space. θ only runs on a
-// Θ-passing pair, so the rate is at most 1 and the ring keeps the lowest.
-double ResidualBadness(double residual) {
-  return std::fabs(std::log2(std::max(residual, 1e-9)));
-}
 
 std::string ServiceSnapshotProvider() {
   return ServiceTelemetry::Global().ServiceSectionJson();
@@ -90,7 +82,6 @@ ServiceTelemetry::ServiceTelemetry()
       slow_event_threshold_ns_(kDefaultSlowEventThresholdNs) {
   recent_.reserve(kRecentRing);
   slow_by_latency_.reserve(kSlowRing);
-  slow_by_residual_.reserve(kSlowRing);
   FlightRecorder::SetServiceSnapshotProvider(&ServiceSnapshotProvider);
 }
 
@@ -116,28 +107,26 @@ void ServiceTelemetry::SetSlowEventThresholdNs(int64_t ns) {
 
 namespace {
 
-// Inserts `record` into a worst-K ring ordered by `key` (descending),
+// Inserts `record` into a worst-K ring ordered by wall time (descending),
 // after expiring entries past the retention horizon. Returns true when
 // the record made the ring.
-template <typename KeyFn>
 bool InsertSlow(std::vector<QueryRecord>* ring, const QueryRecord& record,
-                int64_t now_ns, KeyFn key) {
+                int64_t now_ns) {
   ring->erase(std::remove_if(ring->begin(), ring->end(),
                              [now_ns](const QueryRecord& r) {
                                return now_ns - r.end_ts_ns >
                                       ServiceTelemetry::kSlowRetentionNs;
                              }),
               ring->end());
-  const double k = key(record);
   if (ring->size() >= static_cast<size_t>(ServiceTelemetry::kSlowRing)) {
-    // Ring full: the record must beat the current weakest entry.
-    auto weakest = std::min_element(
+    // Ring full: the record must beat the current fastest entry.
+    auto fastest = std::min_element(
         ring->begin(), ring->end(),
-        [&key](const QueryRecord& a, const QueryRecord& b) {
-          return key(a) < key(b);
+        [](const QueryRecord& a, const QueryRecord& b) {
+          return a.wall_ns < b.wall_ns;
         });
-    if (k <= key(*weakest)) return false;
-    *weakest = record;
+    if (record.wall_ns <= fastest->wall_ns) return false;
+    *fastest = record;
   } else {
     ring->push_back(record);
   }
@@ -176,12 +165,7 @@ void ServiceTelemetry::RecordQuery(const QueryRecord& record) {
     recent_next_ = (recent_next_ + 1) % static_cast<size_t>(kRecentRing);
 
     const bool entered_latency_ring =
-        InsertSlow(&slow_by_latency_, record, record.end_ts_ns,
-                   [](const QueryRecord& r) {
-                     return static_cast<double>(r.wall_ns);
-                   });
-    InsertSlow(&slow_by_residual_, record, record.end_ts_ns,
-               [](const QueryRecord& r) { return ResidualBadness(r.residual); });
+        InsertSlow(&slow_by_latency_, record, record.end_ts_ns);
     emit_slow_event =
         entered_latency_ring && record.wall_ns >= slow_event_threshold_ns_;
 
@@ -221,10 +205,10 @@ void ServiceTelemetry::RecordQuery(const QueryRecord& record) {
 
   if (emit_slow_event) {
     SJ_EVENT(kSlowQuery, kWarn,
-             "sess%d req%llu %s %s %.1fms (residual %.3f)", record.session_id,
+             "sess%d req%llu %s %s %.1fms", record.session_id,
              static_cast<unsigned long long>(record.request_id),
              record.strategy, QueryOutcomeName(record.outcome),
-             static_cast<double>(record.wall_ns) / 1e6, record.residual);
+             static_cast<double>(record.wall_ns) / 1e6);
   }
 }
 
@@ -248,7 +232,6 @@ void ServiceTelemetry::WriteRecordJson(JsonWriter* w,
   w->KV("qual_pairs", r.qual_pairs);
   w->KV("nodes_accessed", r.nodes_accessed);
   w->KV("matches", r.matches);
-  w->KV("residual", r.residual);
   w->EndObject();
 }
 
@@ -265,7 +248,6 @@ ServiceTelemetry::Retained ServiceTelemetry::SnapshotRetained() const {
     snap.recent.push_back(recent_[(start + i) % n]);
   }
   snap.slow_by_latency = slow_by_latency_;
-  snap.slow_by_residual = slow_by_residual_;
   snap.per_session = per_session_;
   snap.per_dataset = per_dataset_;
   return snap;
@@ -300,37 +282,27 @@ void ServiceTelemetry::WriteAggregatesJson(JsonWriter* w,
   write_map("per_dataset", snap.per_dataset, "dataset");
 }
 
-void ServiceTelemetry::WriteSlowRingsJson(JsonWriter* w, const Retained& snap,
-                                          int64_t now_ns) const {
-  auto write_ring = [this, w, now_ns](const char* key,
-                                      std::vector<QueryRecord> ring,
-                                      auto rank) {
-    // Expired entries are dropped lazily on insert; a snapshot of a quiet
-    // server must not resurrect them, so filter here too.
-    ring.erase(std::remove_if(ring.begin(), ring.end(),
-                              [now_ns](const QueryRecord& r) {
-                                return now_ns - r.end_ts_ns >
-                                       kSlowRetentionNs;
-                              }),
-               ring.end());
-    std::sort(ring.begin(), ring.end(),
-              [&rank](const QueryRecord& a, const QueryRecord& b) {
-                return rank(a) > rank(b);
-              });
-    w->Key(key);
-    w->BeginArray();
-    for (const QueryRecord& r : ring) {
-      SJ_BOUNDED_WORK;  // ring copy capped at kSlowRing
-      WriteRecordJson(w, r);
-    }
-    w->EndArray();
-  };
-  write_ring("slow_by_latency", snap.slow_by_latency,
-             [](const QueryRecord& r) {
-               return static_cast<double>(r.wall_ns);
-             });
-  write_ring("slow_by_residual", snap.slow_by_residual,
-             [](const QueryRecord& r) { return ResidualBadness(r.residual); });
+void ServiceTelemetry::WriteSlowRingJson(JsonWriter* w, const Retained& snap,
+                                         int64_t now_ns) const {
+  std::vector<QueryRecord> ring = snap.slow_by_latency;
+  // Expired entries are dropped lazily on insert; a snapshot of a quiet
+  // server must not resurrect them, so filter here too.
+  ring.erase(std::remove_if(ring.begin(), ring.end(),
+                            [now_ns](const QueryRecord& r) {
+                              return now_ns - r.end_ts_ns > kSlowRetentionNs;
+                            }),
+             ring.end());
+  std::sort(ring.begin(), ring.end(),
+            [](const QueryRecord& a, const QueryRecord& b) {
+              return a.wall_ns > b.wall_ns;
+            });
+  w->Key("slow_by_latency");
+  w->BeginArray();
+  for (const QueryRecord& r : ring) {
+    SJ_BOUNDED_WORK;  // ring copy capped at kSlowRing
+    WriteRecordJson(w, r);
+  }
+  w->EndArray();
 }
 
 namespace {
@@ -356,7 +328,7 @@ void ServiceTelemetry::WriteStatsJson(
   const int64_t now_ns = MonotonicNowNs();
   JsonWriter w(os);
   w.BeginObject();
-  w.KV("stats_version", int64_t{1});
+  w.KV("stats_version", int64_t{2});
   w.KV("now_ns", now_ns);
   w.Key("scheduler");
   w.BeginObject();
@@ -401,7 +373,7 @@ void ServiceTelemetry::WriteStatsJson(
     WriteRecordJson(&w, r);
   }
   w.EndArray();
-  WriteSlowRingsJson(&w, snap, now_ns);
+  WriteSlowRingJson(&w, snap, now_ns);
   w.EndObject();
   os << '\n';
 }
@@ -418,7 +390,7 @@ std::string ServiceTelemetry::ServiceSectionJson() const {
   w.KV("oversized", query_oversized_->Value());
   w.EndObject();
   WriteWindowJson(&w, "latency", latency_window_.Snap(now_ns));
-  WriteSlowRingsJson(&w, SnapshotRetained(), now_ns);
+  WriteSlowRingJson(&w, SnapshotRetained(), now_ns);
   w.EndObject();
   return os.str();
 }
@@ -430,7 +402,6 @@ void ServiceTelemetry::Reset() {
   recent_.clear();
   recent_next_ = 0;
   slow_by_latency_.clear();
-  slow_by_residual_.clear();
   per_session_.clear();
   per_dataset_.clear();
   slow_event_threshold_ns_ = kDefaultSlowEventThresholdNs;

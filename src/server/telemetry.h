@@ -21,9 +21,9 @@ namespace server {
 /// Service telemetry (DESIGN.md §13).
 ///
 /// The process-wide sink for everything the query service knows about
-/// itself: per-query records (plan, charges, measured-vs-predicted
-/// residual, outcome), rolling windowed latency quantiles, per-session
-/// and per-dataset aggregates, and the slow-query rings. Three consumers
+/// itself: per-query records (strategy, charges, the query's own Θ/θ
+/// counts, outcome), rolling windowed latency quantiles, per-session
+/// and per-dataset aggregates, and the slow-query ring. Three consumers
 /// read it:
 ///   * the STATS protocol message (WriteStatsJson) — live introspection
 ///     for sj_top and scripts;
@@ -65,13 +65,6 @@ struct QueryRecord {
   int64_t qual_pairs = 0;      ///< QualPairs entries (qual_pairs_examined)
   int64_t nodes_accessed = 0;
   int64_t matches = 0;
-  /// θ tests over Θ tests, theta_tests / pairs_examined (1.0 when both
-  /// are 0): the share of Θ-filter tests that went on to an exact θ test,
-  /// i.e. the filter's pass rate. Despite its name nothing here is
-  /// predicted, so it is no cost-model residual. A FrozenTree join
-  /// θ-tests only pairs of application objects, so over R-trees its rate
-  /// is lower than a disk-backed join's on the same data.
-  double residual = 1.0;
 };
 
 class ServiceTelemetry {
@@ -80,7 +73,7 @@ class ServiceTelemetry {
   /// few tens of KB, far under the frame payload cap.
   static constexpr int kRecentRing = 32;
   static constexpr int kSlowRing = 16;
-  /// Slow-ring entries older than this age out (the rings hold the worst
+  /// Slow-ring entries older than this age out (the ring holds the worst
   /// *recent* queries, not the worst ever).
   static constexpr int64_t kSlowRetentionNs = 60LL * 1000 * 1000 * 1000;
 
@@ -115,7 +108,7 @@ class ServiceTelemetry {
                       int max_inflight,
                       const exec::ThreadPool::Stats& pool) const;
 
-  /// The flight-dump `service` section: query totals + slow rings.
+  /// The flight-dump `service` section: query totals + slow ring.
   /// Called by the flight recorder's refresh path (registered lazily by
   /// Global()); must not dump or refresh re-entrantly.
   std::string ServiceSectionJson() const;
@@ -151,7 +144,6 @@ class ServiceTelemetry {
   struct Retained {
     std::vector<QueryRecord> recent;
     std::vector<QueryRecord> slow_by_latency;
-    std::vector<QueryRecord> slow_by_residual;
     std::map<int64_t, Aggregate> per_session;
     std::map<int64_t, Aggregate> per_dataset;
   };
@@ -159,8 +151,8 @@ class ServiceTelemetry {
 
   void WriteRecordJson(JsonWriter* w, const QueryRecord& r) const;
   void WriteAggregatesJson(JsonWriter* w, const Retained& snap) const;
-  void WriteSlowRingsJson(JsonWriter* w, const Retained& snap,
-                          int64_t now_ns) const;
+  void WriteSlowRingJson(JsonWriter* w, const Retained& snap,
+                         int64_t now_ns) const;
 
   // Registry mirrors, resolved once (pointers are process-lifetime).
   Counter* const sessions_opened_;
@@ -187,7 +179,6 @@ class ServiceTelemetry {
   std::vector<QueryRecord> recent_ SJ_GUARDED_BY(mu_);   // ring, newest last
   size_t recent_next_ SJ_GUARDED_BY(mu_) = 0;
   std::vector<QueryRecord> slow_by_latency_ SJ_GUARDED_BY(mu_);
-  std::vector<QueryRecord> slow_by_residual_ SJ_GUARDED_BY(mu_);
   // Bounded aggregate maps; once kMaxAggregates distinct keys exist, new
   // keys fold into the overflow key (-1) so a long-lived server cannot
   // grow telemetry without bound.

@@ -204,7 +204,7 @@ TEST(FlightRecorderTest, ExplicitDumpIsSchemaValidAndSelfDescribing) {
   ASSERT_FALSE(doc.empty());
   const JsonDocument parsed = ParseJson(doc);
   ASSERT_TRUE(parsed.ok()) << parsed.error << "\n" << doc.substr(0, 400);
-  EXPECT_EQ(parsed.root.IntAt("flightdump_version", -1), 1);
+  EXPECT_EQ(parsed.root.IntAt("flightdump_version", -1), 2);
   EXPECT_NE(doc.find("\"kind\": \"explicit\""), std::string::npos);
   EXPECT_NE(doc.find("unit test"), std::string::npos);
   EXPECT_NE(doc.find("explicit-dump marker event"), std::string::npos);

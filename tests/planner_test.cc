@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 
 #include "core/planner.h"
 #include "core/theta_ops.h"
@@ -85,12 +86,8 @@ TEST_F(PlannerTest, NearTieFlagsStatisticallyIndistinguishableRanking) {
   PlannerContext ctx;
   ctx.r_tree_available = true;
   ctx.s_tree_available = true;
-  ctx.threads = 4;
 
-  // tree_join and parallel_tree_join share the I/O term and differ only
-  // by the computation term / W — a huge selectivity swing separates
-  // them, but an artificially tiny stderr must not flag ties, and the
-  // chosen strategy itself must never carry the flag.
+  // The chosen strategy itself must never carry the flag.
   JoinPlan plan = PlanJoin(stats, ctx);
   for (const PlannedAlternative& alt : plan.alternatives) {
     if (alt.strategy == plan.strategy) {
@@ -98,11 +95,11 @@ TEST_F(PlannerTest, NearTieFlagsStatisticallyIndistinguishableRanking) {
     }
   }
 
-  // With an enormous stderr, tree_join and parallel_tree_join — which
-  // share the I/O term and converge as p → 0 — cannot be told apart: the
-  // loser of the pair must carry the near-tie flag. (Strategies whose
-  // cost ignores p, like nested loop, legitimately stay unflagged: their
-  // interval is a point.)
+  // tree_join and index_nested_loop share the tree cost and differ by one
+  // relation scan: with an enormous stderr the selectivity swing dwarfs
+  // that gap, so the pair cannot be told apart and the loser of the pair
+  // must carry the near-tie flag. (Strategies whose cost ignores p, like
+  // nested loop, legitimately stay unflagged: their interval is a point.)
   JoinStatistics noisy = stats;
   noisy.selectivity_stderr = 1.0;
   JoinPlan noisy_plan = PlanJoin(noisy, ctx);
@@ -110,12 +107,12 @@ TEST_F(PlannerTest, NearTieFlagsStatisticallyIndistinguishableRanking) {
   for (const PlannedAlternative& alt : noisy_plan.alternatives) {
     if (alt.strategy == noisy_plan.strategy) continue;
     if (alt.strategy == JoinStrategy::kTreeJoin ||
-        alt.strategy == JoinStrategy::kParallelTreeJoin) {
+        alt.strategy == JoinStrategy::kIndexNestedLoop) {
       EXPECT_TRUE(alt.feasible);
       tree_pair_tied = tree_pair_tied || alt.near_tie;
     }
   }
-  EXPECT_TRUE(tree_pair_tied);
+  EXPECT_TRUE(tree_pair_tied) << noisy_plan.ToString();
 
   // With zero stderr (selectivity supplied, not sampled) nothing is
   // flagged.
@@ -127,47 +124,38 @@ TEST_F(PlannerTest, NearTieFlagsStatisticallyIndistinguishableRanking) {
   }
 }
 
-TEST_F(PlannerTest, ParallelStrategiesEnterThePlanSpace) {
-  auto r = MakeRects("r_par", 300, 30, 51);
-  auto s = MakeRects("s_par", 300, 30, 52);
-  OverlapsOp op;
-  JoinStatistics stats = EstimateJoinStatistics(*r, 1, *s, 1, op, 1000, 3);
-
-  PlannerContext serial;
-  serial.r_tree_available = true;
-  serial.s_tree_available = true;
-  serial.threads = 1;
-  JoinPlan serial_plan = PlanJoin(stats, serial);
-
-  PlannerContext wide = serial;
-  wide.threads = 8;
-  wide.probe_window_available = true;
-  JoinPlan wide_plan = PlanJoin(stats, wide);
-
-  double serial_par_cost = 0.0;
-  double wide_par_cost = 0.0;
-  bool serial_par_feasible = true;
-  bool wide_pbsm_feasible = false;
-  for (int i = 0; i < 7; ++i) {
-    if (serial_plan.alternatives[i].strategy ==
-        JoinStrategy::kParallelTreeJoin) {
-      serial_par_feasible = serial_plan.alternatives[i].feasible;
-      serial_par_cost = serial_plan.alternatives[i].estimated_cost;
+TEST_F(PlannerTest, PlansOnlyThePapersStrategies) {
+  // Every input available: each alternative is feasible, and the list is
+  // the paper's strategies plus the two it compares them with. The pooled
+  // strategies are neither listed nor named.
+  JoinStatistics stats;
+  stats.r_tuples = 1000000;
+  stats.s_tuples = 1000000;
+  PlannerContext ctx;
+  ctx.r_tree_available = true;
+  ctx.s_tree_available = true;
+  ctx.join_index_available = true;
+  ctx.overlap_like = true;
+  const JoinStrategy expected[] = {
+      JoinStrategy::kNestedLoop, JoinStrategy::kTreeJoin,
+      JoinStrategy::kIndexNestedLoop, JoinStrategy::kSortMergeZOrder,
+      JoinStrategy::kJoinIndex};
+  for (double p : {1e-12, 1e-6, 1e-3, 0.1}) {
+    stats.selectivity = p;
+    JoinPlan plan = PlanJoin(stats, ctx);
+    ASSERT_EQ(std::size(plan.alternatives), std::size(expected));
+    for (size_t i = 0; i < std::size(expected); ++i) {
+      EXPECT_EQ(plan.alternatives[i].strategy, expected[i]) << "p=" << p;
+      EXPECT_TRUE(plan.alternatives[i].feasible) << "p=" << p;
     }
-    if (wide_plan.alternatives[i].strategy ==
-        JoinStrategy::kParallelTreeJoin) {
-      wide_par_cost = wide_plan.alternatives[i].estimated_cost;
-    }
-    if (wide_plan.alternatives[i].strategy == JoinStrategy::kPartitionedJoin) {
-      wide_pbsm_feasible = wide_plan.alternatives[i].feasible;
-    }
+    const std::string text = plan.ToString();
+    EXPECT_EQ(text.find(JoinStrategyName(JoinStrategy::kParallelTreeJoin)),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(text.find(JoinStrategyName(JoinStrategy::kPartitionedJoin)),
+              std::string::npos)
+        << text;
   }
-  // One thread: the parallel alternative is priced but infeasible.
-  EXPECT_FALSE(serial_par_feasible);
-  // Eight threads: feasible, and cheaper than its one-thread pricing
-  // (the computation term divides by W).
-  EXPECT_TRUE(wide_pbsm_feasible);
-  EXPECT_LT(wide_par_cost, serial_par_cost);
 }
 
 TEST_F(PlannerTest, PrefersJoinIndexOnlyAtLowSelectivityAndNoUpdates) {

@@ -600,7 +600,7 @@ TEST_F(ServerTest, StatsRoundTripReflectsTheWorkload) {
   // The scheduler section is this server instance's own; registry-backed
   // totals ("queries") are process-cumulative across the suite, so the
   // per-session aggregate — reset above — carries the exact ok count.
-  EXPECT_EQ(stats.root.IntAt("stats_version", -1), 1);
+  EXPECT_EQ(stats.root.IntAt("stats_version", -1), 2);
   EXPECT_EQ(stats.root.IntAt("scheduler.admitted", -1), 4) << json;
   EXPECT_EQ(stats.root.IntAt("scheduler.completed", -1), 4) << json;
   EXPECT_EQ(stats.root.IntAt("scheduler.inflight", -1), 0) << json;
@@ -621,7 +621,16 @@ TEST_F(ServerTest, StatsRoundTripReflectsTheWorkload) {
   EXPECT_EQ(join_record.IntAt("qual_pairs", -1), joined.qual_pairs_examined);
   EXPECT_EQ(join_record.IntAt("theta_tests", -1), joined.theta_tests);
   EXPECT_EQ(join_record.IntAt("nodes_accessed", -1), joined.nodes_accessed);
+  // Records carry measured counts and no prediction: the filter pass rate
+  // is theta_tests / pairs_examined of any record.
+  for (const JsonValue& record : recent->items()) {
+    EXPECT_EQ(record.Member("residual"), nullptr) << json;
+    EXPECT_LE(record.IntAt("theta_tests", -1),
+              record.IntAt("pairs_examined", -1))
+        << json;
+  }
   EXPECT_NE(json.find("\"slow_by_latency\""), std::string::npos);
+  EXPECT_EQ(stats.root.Member("slow_by_residual"), nullptr) << json;
   EXPECT_NE(json.find("\"tree_join\""), std::string::npos) << json;
 
   // STATS is answered inline by the reader thread: it must not count as

@@ -88,7 +88,7 @@ TEST(SjTopTest, OnceAgainstALiveServerWritesAParseableSnapshot) {
   text << in.rdbuf();
   const JsonDocument stats = ParseJson(text.str());
   ASSERT_TRUE(stats.ok()) << stats.error << "\n" << text.str();
-  EXPECT_EQ(stats.root.IntAt("stats_version", -1), 1);
+  EXPECT_EQ(stats.root.IntAt("stats_version", -1), 2);
 }
 
 }  // namespace

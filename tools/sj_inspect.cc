@@ -184,10 +184,6 @@ void ValidateQueryRecord(const JsonValue& rec, const std::string& path,
   for (const char* key : {"kind", "strategy", "outcome"}) {
     RequireString(rec, path.c_str(), key, errors);
   }
-  const JsonValue* residual = rec.Member("residual");
-  if (residual == nullptr || !residual->is_number()) {
-    errors->Add(path + ".residual", "missing or not a number");
-  }
   const JsonValue* outcome = rec.Member("outcome");
   if (outcome != nullptr && outcome->is_string() &&
       outcome->str() != "ok" && outcome->str() != "cancelled" &&
@@ -197,7 +193,7 @@ void ValidateQueryRecord(const JsonValue& rec, const std::string& path,
 }
 
 // The `service` section: absent or null on processes that never ran a
-// query server, an object with totals + slow-query rings otherwise.
+// query server, an object with totals + the slow-query ring otherwise.
 void ValidateServiceSection(const JsonValue& service, SchemaErrors* errors) {
   const JsonValue* queries = service.Member("queries");
   if (queries == nullptr || !queries->is_object()) {
@@ -216,19 +212,15 @@ void ValidateServiceSection(const JsonValue& service, SchemaErrors* errors) {
     RequireInt(*latency, "service.latency", "p50_ns", errors);
     RequireInt(*latency, "service.latency", "p99_ns", errors);
   }
-  for (const char* ring_key : {"slow_by_latency", "slow_by_residual"}) {
-    const JsonValue* ring = service.Member(ring_key);
-    if (ring == nullptr || !ring->is_array()) {
-      errors->Add(std::string("service.") + ring_key,
-                  "missing or not an array");
-      continue;
-    }
-    for (size_t i = 0; i < ring->items().size(); ++i) {
-      ValidateQueryRecord(ring->items()[i],
-                          std::string("service.") + ring_key + "[" +
-                              std::to_string(i) + "]",
-                          errors);
-    }
+  const JsonValue* ring = service.Member("slow_by_latency");
+  if (ring == nullptr || !ring->is_array()) {
+    errors->Add("service.slow_by_latency", "missing or not an array");
+    return;
+  }
+  for (size_t i = 0; i < ring->items().size(); ++i) {
+    ValidateQueryRecord(
+        ring->items()[i],
+        "service.slow_by_latency[" + std::to_string(i) + "]", errors);
   }
 }
 
@@ -240,7 +232,7 @@ bool ValidateDump(const JsonValue& dump, SchemaErrors* errors) {
   const JsonValue* version = dump.Member("flightdump_version");
   if (version == nullptr || !version->is_number()) {
     errors->Add("flightdump_version", "missing or not a number");
-  } else if (version->AsInt() != 1) {
+  } else if (version->AsInt() != 2) {
     errors->Add("flightdump_version",
                 "unsupported version " + std::to_string(version->AsInt()));
   }
@@ -411,23 +403,17 @@ void RenderSummary(const JsonValue& dump, std::ostream& os) {
          << FormatNs(latency->Member("p99_ns")->AsInt());
     }
     os << "\n";
-    auto render_ring = [&os](const JsonValue* ring, const char* title) {
-      if (ring == nullptr || !ring->is_array() || ring->items().empty()) return;
-      os << title << ":\n";
-      for (const JsonValue& rec : ring->items()) {
-        os << "  sess" << rec.IntAt("session") << " req"
-           << rec.IntAt("request_id") << " "
-           << rec.StringAt("kind") << "/" << rec.StringAt("strategy")
-           << " [" << rec.StringAt("outcome") << "] "
-           << FormatNs(rec.IntAt("wall_ns")) << ", "
-           << rec.IntAt("pages_read") << " reads, "
-           << rec.IntAt("pairs_examined") << " pairs, residual "
-           << rec.DoubleAt("residual") << "\n";
-      }
-    };
-    render_ring(service->Member("slow_by_latency"), "slowest queries");
-    render_ring(service->Member("slow_by_residual"),
-                "lowest filter pass rates (theta/Theta tests)");
+    const JsonValue* ring = service->Member("slow_by_latency");
+    if (!ring->items().empty()) os << "slowest queries:\n";
+    for (const JsonValue& rec : ring->items()) {
+      os << "  sess" << rec.IntAt("session") << " req"
+         << rec.IntAt("request_id") << " "
+         << rec.StringAt("kind") << "/" << rec.StringAt("strategy")
+         << " [" << rec.StringAt("outcome") << "] "
+         << FormatNs(rec.IntAt("wall_ns")) << ", "
+         << rec.IntAt("pages_read") << " reads, "
+         << rec.IntAt("pairs_examined") << " pairs\n";
+    }
   }
 }
 
@@ -509,7 +495,7 @@ int LoadDump(const std::string& path, JsonValue* dump) {
 // A structurally complete specimen exercising every schema branch the
 // validator checks; doubles as documentation of the format.
 constexpr const char kSampleDump[] = R"json({
-"flightdump_version": 1,
+"flightdump_version": 2,
 "pid": 4242,
 "reason": {"kind": "check_failure", "detail": "join.cc:42: SJ_CHECK(x)",
            "fatal": true, "ts_ns": 5000000},
@@ -549,15 +535,13 @@ constexpr const char kSampleDump[] = R"json({
      "end_ts_ns": 4500000, "wall_ns": 3900000, "queue_wait_ns": 120000,
      "pool_tasks": 8, "pages_read": 40, "pages_hit": 200,
      "pairs_examined": 900, "theta_tests": 450, "qual_pairs": 300,
-     "nodes_accessed": 64, "matches": 17, "residual": 0.5}
-  ],
-  "slow_by_residual": [
+     "nodes_accessed": 64, "matches": 17},
     {"request_id": 9, "session": 3, "dataset": 1, "kind": "select",
      "strategy": "tree", "outcome": "deadline",
      "end_ts_ns": 4800000, "wall_ns": 600000, "queue_wait_ns": 0,
      "pool_tasks": 0, "pages_read": 2, "pages_hit": 30,
      "pairs_examined": 120, "theta_tests": 1, "qual_pairs": 0,
-     "nodes_accessed": 12, "matches": 0, "residual": 0.008}
+     "nodes_accessed": 12, "matches": 0}
   ]
 },
 "watchdog": {"running": true, "ticks": 40, "stalls": 0, "deadline_hits": 0}
@@ -610,13 +594,12 @@ int SelfTest() {
   {
     JsonValue dump;
     SchemaErrors errors;
-    expect(!validate("{\"flightdump_version\": 1, \"service\": "
+    expect(!validate("{\"flightdump_version\": 2, \"service\": "
                      "{\"queries\": {\"ok\": 1, \"stopped\": 0, "
                      "\"oversized\": 0},"
                      " \"latency\": {\"window_ns\": 1, \"count\": 0,"
                      " \"p50_ns\": 0, \"p99_ns\": 0},"
-                     " \"slow_by_latency\": [{\"request_id\": 1}],"
-                     " \"slow_by_residual\": []}}",
+                     " \"slow_by_latency\": [{\"request_id\": 1}]}}",
                      &dump, &errors),
            "incomplete QueryRecord rejected");
     bool found = false;
@@ -635,12 +618,18 @@ int SelfTest() {
     }
   }
 
-  // Wrong version and missing sections must be schema errors.
-  {
+  // Exactly version 2 validates: the specimen under version 1 or 3 fails
+  // on that field alone.
+  for (const char* other : {"1", "3"}) {
+    const std::string key = "\"flightdump_version\": 2";
+    std::string text = kSampleDump;
+    text.replace(text.find(key) + key.size() - 1, 1, other);
     JsonValue dump;
     SchemaErrors errors;
-    expect(!validate("{\"flightdump_version\": 2}", &dump, &errors),
-           "version-2 stub fails validation");
+    expect(!validate(text, &dump, &errors) && errors.errors().size() == 1 &&
+               errors.errors()[0] == "flightdump_version: unsupported "
+                                     "version " + std::string(other),
+           "another version fails validation on the version alone");
   }
   {
     JsonValue dump;

@@ -3,7 +3,7 @@
 // Connects to the service socket, polls the STATS message, and renders a
 // one-screen summary: throughput (completed-query deltas between polls),
 // windowed p50/p99 latency, in-flight/admission counters, and the
-// slow-query rings retained by ServiceTelemetry. STATS is answered
+// slow-query ring retained by ServiceTelemetry. STATS is answered
 // inline by the server's I/O loop, bypassing admission, so this works
 // exactly when the server is saturated and sj_top matters most.
 //
@@ -82,16 +82,14 @@ std::string FmtDuration(int64_t ns) {
   return buf;
 }
 
-void RenderSlowRing(const JsonValue& stats, const char* key,
-                    const char* title) {
-  const JsonValue* ring = stats.Member(key);
+void RenderSlowRing(const JsonValue& stats) {
+  const JsonValue* ring = stats.Member("slow_by_latency");
   if (ring == nullptr || !ring->is_array() || ring->items().empty()) return;
-  std::printf("\n%s\n", title);
-  std::printf("  %4s %6s %-6s %-22s %-9s %9s %8s %10s %9s\n", "sess", "req",
-              "kind", "strategy", "outcome", "wall", "reads", "pairs",
-              "residual");
+  std::printf("\nslowest queries (last 60s)\n");
+  std::printf("  %4s %6s %-6s %-22s %-9s %9s %8s %10s\n", "sess", "req",
+              "kind", "strategy", "outcome", "wall", "reads", "pairs");
   for (const JsonValue& rec : ring->items()) {
-    std::printf("  %4lld %6llu %-6s %-22s %-9s %9s %8lld %10lld %9.3f\n",
+    std::printf("  %4lld %6llu %-6s %-22s %-9s %9s %8lld %10lld\n",
                 static_cast<long long>(rec.IntAt("session")),
                 static_cast<unsigned long long>(rec.IntAt("request_id")),
                 rec.StringAt("kind", "?").c_str(),
@@ -99,8 +97,7 @@ void RenderSlowRing(const JsonValue& stats, const char* key,
                 rec.StringAt("outcome", "?").c_str(),
                 FmtDuration(rec.IntAt("wall_ns")).c_str(),
                 static_cast<long long>(rec.IntAt("pages_read")),
-                static_cast<long long>(rec.IntAt("pairs_examined")),
-                rec.DoubleAt("residual"));
+                static_cast<long long>(rec.IntAt("pairs_examined")));
   }
 }
 
@@ -174,9 +171,7 @@ void RenderFrame(const JsonValue& stats, const std::string& socket_path,
               static_cast<long long>(stats.IntAt("pool.tasks_stolen")),
               static_cast<long long>(stats.IntAt("pool.tasks_queued")));
 
-  RenderSlowRing(stats, "slow_by_latency", "slowest queries (last 60s)");
-  RenderSlowRing(stats, "slow_by_residual",
-                 "lowest filter pass rates, theta/Theta tests (last 60s)");
+  RenderSlowRing(stats);
   std::fflush(stdout);
 }
 

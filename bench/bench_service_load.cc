@@ -303,7 +303,7 @@ int main(int argc, char** argv) {
       while (!stop_poller.load(std::memory_order_relaxed)) {
         Result<std::string> stats = poll_client.value()->Stats();
         if (!stats.ok() ||
-            stats.value().find("\"stats_version\": 2") == std::string::npos) {
+            stats.value().find("\"stats_version\": 3") == std::string::npos) {
           stats_poll_ok.store(false);
           return;
         }

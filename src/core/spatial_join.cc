@@ -85,12 +85,12 @@ JoinResult DispatchJoin(JoinStrategy strategy, const SpatialJoinContext& ctx,
       SJ_CHECK_MSG(ctx.r_tree != nullptr && ctx.s != nullptr,
                    "index_nested_loop needs a tree on R and relation S");
       return IndexNestedLoopJoin(*ctx.r_tree, *ctx.s, ctx.col_s, op,
-                                 ctx.traversal, ctx.cancel);
+                                 Traversal::kBreadthFirst, ctx.cancel);
     case JoinStrategy::kSortMergeZOrder:
       SJ_CHECK_MSG(ctx.zgrid != nullptr, "sort_merge_zorder needs a ZGrid");
       SJ_CHECK(ctx.r != nullptr && ctx.s != nullptr);
       return SortMergeZOrderJoin(*ctx.r, ctx.col_r, *ctx.s, ctx.col_s, op,
-                                 *ctx.zgrid, ctx.zorder_options,
+                                 *ctx.zgrid, /*options=*/{},
                                  /*stats=*/nullptr, ctx.cancel);
     case JoinStrategy::kJoinIndex:
       SJ_CHECK_MSG(ctx.join_index != nullptr,
@@ -269,8 +269,8 @@ JoinResult DispatchSelect(SelectStrategy strategy,
     case SelectStrategy::kTree: {
       SJ_CHECK_MSG(ctx.s_tree != nullptr, "tree select needs a tree on S");
       return SelectAsJoinResult(
-          SpatialSelect(selector, *ctx.s_tree, op, ctx.traversal, ctx.trace,
-                        ctx.cancel),
+          SpatialSelect(selector, *ctx.s_tree, op, Traversal::kBreadthFirst,
+                        ctx.trace, ctx.cancel),
           selector_tid);
     }
     case SelectStrategy::kJoinIndexLookup: {

@@ -11,7 +11,6 @@
 #include "core/theta_ops.h"
 #include "obs/trace.h"
 #include "relational/relation.h"
-#include "zorder/zdecompose.h"
 #include "zorder/zorder.h"
 
 namespace spatialjoin {
@@ -50,8 +49,6 @@ struct SpatialJoinContext {
   const JoinIndex* join_index = nullptr;
   const ZGrid* zgrid = nullptr;
   NestedLoopOptions nested_loop_options;
-  ZDecomposeOptions zorder_options;
-  Traversal traversal = Traversal::kBreadthFirst;
   /// Optional per-query trace. ExecuteJoin/ExecuteSelect stamp strategy,
   /// wall time, and match count on it; the tree strategies additionally
   /// fill per-level events (see QueryTrace).

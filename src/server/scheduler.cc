@@ -3,8 +3,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "obs/event_log.h"
-#include "server/telemetry.h"
 
 namespace spatialjoin {
 namespace server {
@@ -28,7 +26,6 @@ Status QueryScheduler::Submit(std::function<void()> query) {
     MutexLock lock(mu_);
     if (draining_ || inflight_ >= max_inflight_) {
       ++rejected_;
-      ServiceTelemetry::Global().OnQueryRejected();
       // The message is static on purpose: under a load burst this Status
       // is constructed thousands of times per second, and the event-log
       // observer copies the message into the ring each time.
@@ -37,25 +34,16 @@ Status QueryScheduler::Submit(std::function<void()> query) {
     ++admitted_;
     ++inflight_;
     if (inflight_ > peak_inflight_) peak_inflight_ = inflight_;
-    ServiceTelemetry::Global().OnQueryAdmitted();
   }
   // Post outside the critical section: the pool takes its own locks, and
   // the server's lock order keeps scheduler/session/pool mutexes strictly
   // non-nested (DESIGN.md §12).
   pool_->Post([this, query = std::move(query)] {
     query();
-    int64_t inflight_now, peak;
-    {
-      MutexLock lock(mu_);
-      --inflight_;
-      ++completed_;
-      inflight_now = inflight_;
-      peak = peak_inflight_;
-      if (inflight_ == 0) idle_cv_.NotifyAll();
-    }
-    // Outside mu_: telemetry takes its own lock and the server's lock
-    // order keeps scheduler/session/telemetry mutexes non-nested.
-    ServiceTelemetry::Global().OnQueryCompleted(inflight_now, peak);
+    MutexLock lock(mu_);
+    --inflight_;
+    ++completed_;
+    if (inflight_ == 0) idle_cv_.NotifyAll();
   });
   return Status::Ok();
 }

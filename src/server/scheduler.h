@@ -14,20 +14,17 @@ namespace server {
 
 /// Admission-controlled query scheduler (DESIGN.md §12).
 ///
-/// Queries run as fire-and-forget tasks on the shared pool (inter-query
-/// parallelism; a parallel strategy inside a query fans out on the same
-/// pool). That nesting cannot deadlock: a ParallelFor takes its unstarted
-/// helpers back out of the queue and waits only for helpers running its
-/// own indices, never for a queued task. The scheduler's job is the part
-/// the pool deliberately does not do: bounding how many queries are in
-/// flight at once. A submission over the bound is rejected *immediately*
-/// with RESOURCE_EXHAUSTED — the session layer turns that into a
-/// backpressure error reply, keeping the server's memory and queue depth
-/// bounded by `max_inflight × per-query cost` no matter how many clients
-/// pile on. Rejected work is the client's to retry; nothing is ever
-/// queued behind the bound, so a rejection is also the *cheapest*
-/// possible outcome of an overloaded server (decode + one small reply
-/// frame).
+/// Queries run as fire-and-forget tasks on the shared pool, each one
+/// whole on the worker that took it (inter-query parallelism only). The
+/// scheduler's job is the part the pool deliberately does not do:
+/// bounding how many queries are in flight at once. A submission over the
+/// bound is rejected *immediately* with RESOURCE_EXHAUSTED — the session
+/// layer turns that into a backpressure error reply, keeping the server's
+/// memory and queue depth bounded by `max_inflight × per-query cost` no
+/// matter how many clients pile on. Rejected work is the client's to
+/// retry; nothing is ever queued behind the bound, so a rejection is also
+/// the *cheapest* possible outcome of an overloaded server (decode + one
+/// small reply frame).
 class QueryScheduler {
  public:
   struct Options {

@@ -30,13 +30,12 @@ namespace server {
 /// while serving.
 ///
 /// Threads: one I/O thread, however many sessions are open, and the
-/// caller-supplied thread pool shared by *all* query execution
-/// (inter- and intra-query parallelism alike). The I/O thread's epoll loop
-/// alone makes socket calls; a finished query queues its reply and wakes
-/// it through an eventfd. The scheduler's admission bound keeps the
-/// pool's sharing fair: at most `max_inflight` queries occupy it,
-/// everything beyond is rejected with a backpressure reply the moment it
-/// is decoded.
+/// caller-supplied thread pool shared by *all* query execution (one
+/// worker per running query). The I/O thread's epoll loop alone makes
+/// socket calls; a finished query queues its reply and wakes it through
+/// an eventfd. The scheduler's admission bound keeps the pool's sharing
+/// fair: at most `max_inflight` queries occupy it, everything beyond is
+/// rejected with a backpressure reply the moment it is decoded.
 class Server {
  public:
   struct Options {

@@ -22,15 +22,12 @@ namespace server {
 
 namespace {
 
-/// The wire exposes only the strategies that are safe to run many-at-once
-/// over FrozenTree snapshots. The others need live relations, a join
-/// index, or the (single-threaded) storage layer, none of which the
-/// service holds.
+/// The wire serves the paper's strategy II over FrozenTree snapshots, run
+/// whole on the pool worker that takes the query. The others need live
+/// relations, a join index, the (single-threaded) storage layer or a pool
+/// of their own, none of which a served query holds.
 bool WireServes(SelectStrategy s) { return s == SelectStrategy::kTree; }
-bool WireServes(JoinStrategy s) {
-  return s == JoinStrategy::kTreeJoin ||
-         s == JoinStrategy::kParallelTreeJoin;
-}
+bool WireServes(JoinStrategy s) { return s == JoinStrategy::kTreeJoin; }
 
 const char* StrategyName(SelectStrategy s) { return SelectStrategyName(s); }
 const char* StrategyName(JoinStrategy s) { return JoinStrategyName(s); }
@@ -253,7 +250,6 @@ void Session::AdmitQuery(QueryRecord record, int64_t deadline_ns,
         std::snprintf(detail, sizeof(detail), "sess%d req%llu", self->id_,
                       static_cast<unsigned long long>(request_id));
         SpatialJoinContext ctx;
-        ctx.exec_pool = self->context_.pool;
         ctx.cancel = token.get();
         ctx.activity_detail = detail;
         attribution::QueryCharges charges;
@@ -278,10 +274,7 @@ void Session::AdmitQuery(QueryRecord record, int64_t deadline_ns,
         record.end_ts_ns = end_ns;
         record.wall_ns = end_ns - admit_ns;
         record.charges = charges.Snapshot();
-        // Admission wait (admit → body start) plus the waits of every
-        // pool task the query fanned out.
-        record.queue_wait_ns =
-            (start_ns - admit_ns) + record.charges.queue_wait_ns;
+        record.queue_wait_ns = start_ns - admit_ns;
         record.pairs_examined = result.theta_upper_tests;
         record.theta_tests = result.theta_tests;
         record.qual_pairs = result.qual_pairs_examined;

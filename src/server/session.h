@@ -42,7 +42,7 @@ class Session : public std::enable_shared_from_this<Session> {
   struct Context {
     const DatasetRegistry* registry = nullptr;
     QueryScheduler* scheduler = nullptr;
-    exec::ThreadPool* pool = nullptr;
+    exec::ThreadPool* pool = nullptr;  ///< STATS' `pool` section only
     /// Applied when a request carries deadline_ns == 0 (0 = no deadline).
     int64_t default_deadline_ns = 0;
     /// Called on the pool worker after a query queued its reply: hands
@@ -94,10 +94,11 @@ class Session : public std::enable_shared_from_this<Session> {
   /// reply has already been queued. `record` holds the query's labels;
   /// the completion fills in the rest. The deadline (the request's, else
   /// the server default) runs from here. `run` is the strategy-specific
-  /// body: it completes a context that carries the pool, token, remaining
-  /// deadline and activity detail, and executes the query. The completion
-  /// path is shared — which is also where attribution charges are
-  /// collected and the QueryRecord is retained by ServiceTelemetry.
+  /// body: it completes a context that carries the token, remaining
+  /// deadline and activity detail (no pool: the query posts nothing), and
+  /// executes the query. The completion path is shared — which is also
+  /// where attribution charges are collected and the QueryRecord is
+  /// retained by ServiceTelemetry.
   void AdmitQuery(QueryRecord record, int64_t deadline_ns,
                   std::function<JoinResult(SpatialJoinContext&)> run);
 

@@ -60,23 +60,11 @@ ServiceTelemetry::ServiceTelemetry()
           "server.session.write_failures")),
       cancel_requested_(MetricsRegistry::Global().GetCounter(
           "server.query.cancel_requested")),
-      sched_admitted_(
-          MetricsRegistry::Global().GetCounter("server.scheduler.admitted")),
-      sched_rejected_(
-          MetricsRegistry::Global().GetCounter("server.scheduler.rejected")),
-      sched_completed_(
-          MetricsRegistry::Global().GetCounter("server.scheduler.completed")),
-      sched_inflight_(
-          MetricsRegistry::Global().GetGauge("server.scheduler.inflight")),
-      sched_peak_inflight_(MetricsRegistry::Global().GetGauge(
-          "server.scheduler.peak_inflight")),
       query_ok_(MetricsRegistry::Global().GetCounter("server.query.ok")),
       query_stopped_(
           MetricsRegistry::Global().GetCounter("server.query.stopped")),
       query_oversized_(MetricsRegistry::Global().GetCounter(
           "server.query.oversized_result")),
-      query_wall_ns_(
-          MetricsRegistry::Global().GetHistogram("server.query.wall_ns")),
       latency_window_(kWindowSlices, kSliceNs),
       queue_wait_window_(kWindowSlices, kSliceNs),
       slow_event_threshold_ns_(kDefaultSlowEventThresholdNs) {
@@ -90,15 +78,6 @@ void ServiceTelemetry::OnSessionClosed() { sessions_closed_->Increment(); }
 void ServiceTelemetry::OnProtocolError() { protocol_errors_->Increment(); }
 void ServiceTelemetry::OnWriteFailure() { write_failures_->Increment(); }
 void ServiceTelemetry::OnCancelRequested() { cancel_requested_->Increment(); }
-void ServiceTelemetry::OnQueryAdmitted() { sched_admitted_->Increment(); }
-void ServiceTelemetry::OnQueryRejected() { sched_rejected_->Increment(); }
-
-void ServiceTelemetry::OnQueryCompleted(int64_t inflight_now,
-                                        int64_t peak_inflight) {
-  sched_completed_->Increment();
-  sched_inflight_->Set(static_cast<double>(inflight_now));
-  sched_peak_inflight_->Set(static_cast<double>(peak_inflight));
-}
 
 void ServiceTelemetry::SetSlowEventThresholdNs(int64_t ns) {
   MutexLock lock(mu_);
@@ -136,7 +115,7 @@ bool InsertSlow(std::vector<QueryRecord>* ring, const QueryRecord& record,
 }  // namespace
 
 void ServiceTelemetry::RecordQuery(const QueryRecord& record) {
-  // Registry mirrors (outcome counters + cumulative latency histogram).
+  // Registry mirrors of the outcome counters.
   switch (record.outcome) {
     case QueryOutcome::kOk:
       query_ok_->Increment();
@@ -149,7 +128,6 @@ void ServiceTelemetry::RecordQuery(const QueryRecord& record) {
       query_oversized_->Increment();
       break;
   }
-  query_wall_ns_->Record(record.wall_ns);
   latency_window_.Record(record.wall_ns, record.end_ts_ns);
   queue_wait_window_.Record(record.queue_wait_ns, record.end_ts_ns);
 
@@ -168,39 +146,6 @@ void ServiceTelemetry::RecordQuery(const QueryRecord& record) {
         InsertSlow(&slow_by_latency_, record, record.end_ts_ns);
     emit_slow_event =
         entered_latency_ring && record.wall_ns >= slow_event_threshold_ns_;
-
-    auto charge = [&record](Aggregate* agg) {
-      ++agg->queries;
-      switch (record.outcome) {
-        case QueryOutcome::kOk:
-          ++agg->ok;
-          break;
-        case QueryOutcome::kCancelled:
-          ++agg->cancelled;
-          break;
-        case QueryOutcome::kDeadline:
-          ++agg->deadline;
-          break;
-        case QueryOutcome::kOversized:
-          ++agg->oversized;
-          break;
-      }
-      agg->wall_ns += record.wall_ns;
-      agg->pages_read += record.charges.pages_read;
-      agg->pages_hit += record.charges.pages_hit;
-      agg->pairs_examined += record.pairs_examined;
-      agg->matches += record.matches;
-    };
-    // Fold new keys into the overflow bucket (-1) once the maps are at
-    // capacity, so telemetry stays bounded on a long-lived server.
-    auto slot = [](std::map<int64_t, Aggregate>* m, int64_t key) {
-      auto it = m->find(key);
-      if (it != m->end()) return &it->second;
-      if (m->size() >= ServiceTelemetry::kMaxAggregates) key = -1;
-      return &(*m)[key];
-    };
-    charge(slot(&per_session_, record.session_id));
-    charge(slot(&per_dataset_, static_cast<int64_t>(record.dataset_id)));
   }
 
   if (emit_slow_event) {
@@ -248,38 +193,7 @@ ServiceTelemetry::Retained ServiceTelemetry::SnapshotRetained() const {
     snap.recent.push_back(recent_[(start + i) % n]);
   }
   snap.slow_by_latency = slow_by_latency_;
-  snap.per_session = per_session_;
-  snap.per_dataset = per_dataset_;
   return snap;
-}
-
-void ServiceTelemetry::WriteAggregatesJson(JsonWriter* w,
-                                           const Retained& snap) const {
-  auto write_map = [this, w](const char* key,
-                             const std::map<int64_t, Aggregate>& m,
-                             const char* id_key) {
-    w->Key(key);
-    w->BeginArray();
-    for (const auto& [id, agg] : m) {
-      SJ_BOUNDED_WORK;  // one row per live session/dataset id
-      w->BeginObject();
-      w->KV(id_key, id);
-      w->KV("queries", agg.queries);
-      w->KV("ok", agg.ok);
-      w->KV("cancelled", agg.cancelled);
-      w->KV("deadline", agg.deadline);
-      w->KV("oversized", agg.oversized);
-      w->KV("wall_ns", agg.wall_ns);
-      w->KV("pages_read", agg.pages_read);
-      w->KV("pages_hit", agg.pages_hit);
-      w->KV("pairs_examined", agg.pairs_examined);
-      w->KV("matches", agg.matches);
-      w->EndObject();
-    }
-    w->EndArray();
-  };
-  write_map("per_session", snap.per_session, "session");
-  write_map("per_dataset", snap.per_dataset, "dataset");
 }
 
 void ServiceTelemetry::WriteSlowRingJson(JsonWriter* w, const Retained& snap,
@@ -328,7 +242,7 @@ void ServiceTelemetry::WriteStatsJson(
   const int64_t now_ns = MonotonicNowNs();
   JsonWriter w(os);
   w.BeginObject();
-  w.KV("stats_version", int64_t{2});
+  w.KV("stats_version", int64_t{3});
   w.KV("now_ns", now_ns);
   w.Key("scheduler");
   w.BeginObject();
@@ -365,7 +279,6 @@ void ServiceTelemetry::WriteStatsJson(
   WriteWindowJson(&w, "latency", latency_window_.Snap(now_ns));
   WriteWindowJson(&w, "queue_wait", queue_wait_window_.Snap(now_ns));
   const Retained snap = SnapshotRetained();
-  WriteAggregatesJson(&w, snap);
   w.Key("recent");
   w.BeginArray();
   for (const QueryRecord& r : snap.recent) {
@@ -402,8 +315,6 @@ void ServiceTelemetry::Reset() {
   recent_.clear();
   recent_next_ = 0;
   slow_by_latency_.clear();
-  per_session_.clear();
-  per_dataset_.clear();
   slow_event_threshold_ns_ = kDefaultSlowEventThresholdNs;
 }
 

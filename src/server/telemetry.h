@@ -2,7 +2,6 @@
 #define SPATIALJOIN_SERVER_TELEMETRY_H_
 
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -22,15 +21,15 @@ namespace server {
 ///
 /// The process-wide sink for everything the query service knows about
 /// itself: per-query records (strategy, charges, the query's own Θ/θ
-/// counts, outcome), rolling windowed latency quantiles, per-session
-/// and per-dataset aggregates, and the slow-query ring. Three consumers
-/// read it:
+/// counts, outcome), rolling windowed latency quantiles, and the recent
+/// and slow-query rings. Three consumers read it:
 ///   * the STATS protocol message (WriteStatsJson) — live introspection
 ///     for sj_top and scripts;
 ///   * the flight recorder (ServiceSectionJson) — the same slow-query
 ///     evidence embedded in post-mortem dumps;
-///   * the metrics registry — scalar totals mirrored into the ordinary
-///     counters/gauges so bench artifacts carry them with no protocol.
+///   * the metrics registry — session, protocol and outcome totals
+///     mirrored into ordinary counters so bench artifacts carry them with
+///     no protocol. Admission counts live in QueryScheduler::Stats only.
 ///
 /// This is also the *only* file under src/server/ allowed to touch the
 /// MetricsRegistry (enforced by sj_lint's `metrics-in-server` rule):
@@ -57,7 +56,7 @@ struct QueryRecord {
   QueryOutcome outcome = QueryOutcome::kOk;
   int64_t end_ts_ns = 0;       ///< MonotonicNowNs at completion
   int64_t wall_ns = 0;         ///< admit → completion
-  int64_t queue_wait_ns = 0;   ///< admission wait + summed pool-task waits
+  int64_t queue_wait_ns = 0;   ///< admit → body start
   attribution::Charges charges{};
   // The query's own counts, from its JoinResult.
   int64_t pairs_examined = 0;  ///< Θ-filter tests (theta_upper_tests)
@@ -89,16 +88,9 @@ class ServiceTelemetry {
   void OnWriteFailure();
   void OnCancelRequested();
 
-  // --- Scheduler accounting (mirrors QueryScheduler::Stats into the
-  // registry so bench artifacts and flight dumps carry admission and
-  // rejection counts without the STATS protocol path) -------------------
-  void OnQueryAdmitted();
-  void OnQueryRejected();
-  void OnQueryCompleted(int64_t inflight_now, int64_t peak_inflight);
-
-  /// Retains `record`, updates aggregates/windows/rings, mirrors the
-  /// outcome counters, and emits a kSlowQuery event if the record enters
-  /// the slow-by-latency ring above the event threshold.
+  /// Retains `record`, updates windows/rings, mirrors the outcome
+  /// counters, and emits a kSlowQuery event if the record enters the
+  /// slow-by-latency ring above the event threshold.
   void RecordQuery(const QueryRecord& record);
 
   /// The STATS reply document. Scheduler/pool snapshots are passed in by
@@ -117,25 +109,12 @@ class ServiceTelemetry {
   /// event (default 10ms; tests set 0 to pin the emission path).
   void SetSlowEventThresholdNs(int64_t ns);
 
-  /// Zeroes rings, aggregates, and windows (registry instruments are the
-  /// caller's to reset). Tests and benches start measurements clean here.
+  /// Zeroes rings and windows (registry instruments are the caller's to
+  /// reset). Tests and benches start measurements clean here.
   void Reset();
 
  private:
   ServiceTelemetry();
-
-  struct Aggregate {
-    int64_t queries = 0;
-    int64_t ok = 0;
-    int64_t cancelled = 0;
-    int64_t deadline = 0;
-    int64_t oversized = 0;
-    int64_t wall_ns = 0;
-    int64_t pages_read = 0;
-    int64_t pages_hit = 0;
-    int64_t pairs_examined = 0;
-    int64_t matches = 0;
-  };
 
   /// Copy of everything mu_ guards, taken in one short critical section.
   /// Serialization happens on the copy, outside the lock — a STATS poll
@@ -144,13 +123,10 @@ class ServiceTelemetry {
   struct Retained {
     std::vector<QueryRecord> recent;
     std::vector<QueryRecord> slow_by_latency;
-    std::map<int64_t, Aggregate> per_session;
-    std::map<int64_t, Aggregate> per_dataset;
   };
   Retained SnapshotRetained() const;
 
   void WriteRecordJson(JsonWriter* w, const QueryRecord& r) const;
-  void WriteAggregatesJson(JsonWriter* w, const Retained& snap) const;
   void WriteSlowRingJson(JsonWriter* w, const Retained& snap,
                          int64_t now_ns) const;
 
@@ -160,15 +136,9 @@ class ServiceTelemetry {
   Counter* const protocol_errors_;
   Counter* const write_failures_;
   Counter* const cancel_requested_;
-  Counter* const sched_admitted_;
-  Counter* const sched_rejected_;
-  Counter* const sched_completed_;
-  Gauge* const sched_inflight_;
-  Gauge* const sched_peak_inflight_;
   Counter* const query_ok_;
   Counter* const query_stopped_;
   Counter* const query_oversized_;
-  Histogram* const query_wall_ns_;
 
   // Live windows: last ~4s of completed-query latency and queue wait.
   WindowedHistogram latency_window_;
@@ -179,12 +149,6 @@ class ServiceTelemetry {
   std::vector<QueryRecord> recent_ SJ_GUARDED_BY(mu_);   // ring, newest last
   size_t recent_next_ SJ_GUARDED_BY(mu_) = 0;
   std::vector<QueryRecord> slow_by_latency_ SJ_GUARDED_BY(mu_);
-  // Bounded aggregate maps; once kMaxAggregates distinct keys exist, new
-  // keys fold into the overflow key (-1) so a long-lived server cannot
-  // grow telemetry without bound.
-  static constexpr size_t kMaxAggregates = 64;
-  std::map<int64_t, Aggregate> per_session_ SJ_GUARDED_BY(mu_);
-  std::map<int64_t, Aggregate> per_dataset_ SJ_GUARDED_BY(mu_);
 };
 
 }  // namespace server

@@ -126,7 +126,7 @@ class MetricsInServerTest(unittest.TestCase):
                 list(sj_lint.check_metrics_in_server(f)), [], path)
 
     def test_telemetry_facade_calls_stay_clean(self):
-        line = "ServiceTelemetry::Global().OnQueryAdmitted();"
+        line = "ServiceTelemetry::Global().OnSessionOpened();"
         f = sj_lint.SourceFile("src/server/session.cc", [line], [line])
         self.assertEqual(list(sj_lint.check_metrics_in_server(f)), [])
 

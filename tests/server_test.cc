@@ -242,7 +242,6 @@ class ServerTest : public ::testing::Test {
     SpatialJoinContext ctx;
     ctx.r_tree = &direct_->r;
     ctx.s_tree = &direct_->s;
-    ctx.exec_pool = &pool_;
     Result<std::unique_ptr<ThetaOperator>> op =
         MakeWireOperator(request.op_code, request.op_param);
     return ExecuteJoin(request.strategy, ctx, *op.value());
@@ -285,17 +284,13 @@ TEST_F(ServerTest, SelectIsByteIdenticalToDirectExecution) {
 TEST_F(ServerTest, JoinIsByteIdenticalToDirectExecution) {
   StartServer({});
   std::unique_ptr<ServiceClient> client = Connect();
-  for (JoinStrategy strategy :
-       {JoinStrategy::kTreeJoin, JoinStrategy::kParallelTreeJoin}) {
-    for (uint8_t op_code = 1; op_code <= 6; ++op_code) {
-      JoinRequest request = OverlapJoin(0);
-      request.strategy = strategy;
-      request.op_code = op_code;
-      request.op_param = 12.0;  // within_distance uses it; others ignore
-      Result<Reply> reply = client->Join(request);
-      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-      ExpectSameResult(reply.value(), DirectJoin(request));
-    }
+  for (uint8_t op_code = 1; op_code <= 6; ++op_code) {
+    JoinRequest request = OverlapJoin(0);
+    request.op_code = op_code;
+    request.op_param = 12.0;  // within_distance uses it; others ignore
+    Result<Reply> reply = client->Join(request);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ExpectSameResult(reply.value(), DirectJoin(request));
   }
 }
 
@@ -308,12 +303,19 @@ TEST_F(ServerTest, BadRequestsGetTypedErrorReplies) {
   ASSERT_EQ(reply.value().type, MessageType::kError);
   EXPECT_EQ(reply.value().error_code, StatusCode::kNotFound);
 
-  JoinRequest nested = OverlapJoin(0);
-  nested.strategy = JoinStrategy::kNestedLoop;  // valid enum, not served
-  reply = client->Join(nested);
-  ASSERT_TRUE(reply.ok());
-  ASSERT_EQ(reply.value().type, MessageType::kError);
-  EXPECT_EQ(reply.value().error_code, StatusCode::kInvalidArgument);
+  // JOIN strategies the wire does not serve: valid enum values, the
+  // pooled ones included, since a served query runs on one worker.
+  for (const JoinStrategy strategy :
+       {JoinStrategy::kNestedLoop, JoinStrategy::kParallelTreeJoin,
+        JoinStrategy::kPartitionedJoin}) {
+    JoinRequest unserved = OverlapJoin(0);
+    unserved.strategy = strategy;
+    reply = client->Join(unserved);
+    ASSERT_TRUE(reply.ok());
+    ASSERT_EQ(reply.value().type, MessageType::kError);
+    EXPECT_EQ(reply.value().error_code, StatusCode::kInvalidArgument)
+        << JoinStrategyName(strategy);
+  }
 
   SelectRequest bad_op = OverlapSelect(0, Rectangle(0, 0, 1, 1));
   bad_op.op_code = 200;
@@ -599,18 +601,13 @@ TEST_F(ServerTest, StatsRoundTripReflectsTheWorkload) {
 
   // The scheduler section is this server instance's own; registry-backed
   // totals ("queries") are process-cumulative across the suite, so the
-  // per-session aggregate — reset above — carries the exact ok count.
-  EXPECT_EQ(stats.root.IntAt("stats_version", -1), 2);
+  // `recent` ring — reset above — carries the exact ok count.
+  EXPECT_EQ(stats.root.IntAt("stats_version", -1), 3);
+  EXPECT_EQ(stats.root.Member("per_session"), nullptr) << json;
+  EXPECT_EQ(stats.root.Member("per_dataset"), nullptr) << json;
   EXPECT_EQ(stats.root.IntAt("scheduler.admitted", -1), 4) << json;
   EXPECT_EQ(stats.root.IntAt("scheduler.completed", -1), 4) << json;
   EXPECT_EQ(stats.root.IntAt("scheduler.inflight", -1), 0) << json;
-  const JsonValue* per_session = stats.root.Member("per_session");
-  ASSERT_NE(per_session, nullptr);
-  ASSERT_EQ(per_session->items().size(), 1u) << json;
-  EXPECT_EQ(per_session->items()[0].IntAt("ok", -1), 4) << json;
-  // Pair counts are the results' own fields.
-  EXPECT_EQ(per_session->items()[0].IntAt("pairs_examined", -1),
-            pairs_examined);
   const JsonValue* recent = stats.root.Member("recent");
   ASSERT_NE(recent, nullptr);
   ASSERT_EQ(recent->items().size(), 4u) << json;
@@ -623,12 +620,19 @@ TEST_F(ServerTest, StatsRoundTripReflectsTheWorkload) {
   EXPECT_EQ(join_record.IntAt("nodes_accessed", -1), joined.nodes_accessed);
   // Records carry measured counts and no prediction: the filter pass rate
   // is theta_tests / pairs_examined of any record.
+  int ok = 0;
+  int64_t recorded_pairs = 0;
   for (const JsonValue& record : recent->items()) {
     EXPECT_EQ(record.Member("residual"), nullptr) << json;
     EXPECT_LE(record.IntAt("theta_tests", -1),
               record.IntAt("pairs_examined", -1))
         << json;
+    ok += record.StringAt("outcome") == "ok" ? 1 : 0;
+    recorded_pairs += record.IntAt("pairs_examined", -1);
   }
+  EXPECT_EQ(ok, 4) << json;
+  // Pair counts are the results' own fields.
+  EXPECT_EQ(recorded_pairs, pairs_examined) << json;
   EXPECT_NE(json.find("\"slow_by_latency\""), std::string::npos);
   EXPECT_EQ(stats.root.Member("slow_by_residual"), nullptr) << json;
   EXPECT_NE(json.find("\"tree_join\""), std::string::npos) << json;
